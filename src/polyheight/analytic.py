@@ -2,6 +2,8 @@
 
 The Mahler measure |a| * prod max(1, |root|) is evaluated from certified
 root enclosures; a circle-integral cross-check is provided for tests.
+Each certified computation here is a worker that runs at one precision,
+escalated by ``intervals.escalate``.
 Archimedean Gauss norms over the supported fields are exact quadratic
 surds (see exactreal), with interval views at any precision.
 """
@@ -11,13 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactreal import SqrtValue
-from .intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, escalating, ri,
+from .intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, escalate, ri,
                         working_precision)
-from .polynomials import PolyOverK, SplitPoly
-from .rootfind import complex_roots
+from .polynomials import PolyOverK, SplitPoly, as_poly
+from .rootfind import isolate_roots
 from .verdicts import (BoundCheck, INCONCLUSIVE, interval_verdict,
                        margin_of, sign_verdict)
 
@@ -42,38 +44,44 @@ class MahlerValue:
         return self.enclosure.width
 
 
-def _lead_abs_exact(poly: PolyOverK) -> SqrtValue:
-    return SqrtValue.abs_sigma1(poly.lead)
+def mahler_worker(f) -> Callable[[int], RealInterval | None]:
+    """The Mahler measure of f (first embedding) at one precision: a
+    function taking p to an enclosure of |lead| * prod max(1, |root|)
+    from roots isolated at p bits, or to None when they could not be
+    isolated at p.  Hand it to ``intervals.escalate``."""
+    poly = as_poly(f)
+    lead_abs = SqrtValue.abs_sigma1(poly.lead)
+    factors = poly.squarefree_decomposition()
+
+    def at(p: int) -> RealInterval | None:
+        roots = isolate_roots(factors, p)
+        if roots is None:
+            return None
+        with working_precision(p):
+            lead = lead_abs.to_interval(p)
+            acc = lead
+            for rb in roots:
+                acc = acc * abs(rb.box).maximum(1) ** rb.multiplicity
+            return acc.clamp_below(lead.lo)
+    return at
 
 
-def mahler_measure(f, prec: int = DEFAULT_PREC, max_prec: int = MAX_PREC,
-                   tol: float | None = None) -> MahlerValue:
+def mahler_measure(f, prec: int = DEFAULT_PREC, max_prec: int = MAX_PREC) -> MahlerValue:
     """|lead| * prod max(1, |root|) with multiplicities, certified.
 
     Accepts exact coefficient sequences or a PolyOverK; for quadratic
-    fields the first complex embedding is measured.
+    fields the first complex embedding is measured.  Precision doubles
+    until the enclosure is narrower than 2^-(prec/3) or max_prec is
+    reached.
     """
     if isinstance(f, SplitPoly):
         sv = mahler_sigma1_exact_split(f)
         return MahlerValue(sv.to_interval(prec), f.degree)
-    poly = f if isinstance(f, PolyOverK) else None
-    if poly is None:
-        from .polynomials import int_to_poly
-        poly = int_to_poly([Fraction(c) for c in f])
-    lead_abs = _lead_abs_exact(poly)
-    goal = tol if tol is not None else float(2.0 ** (-(prec // 3)))
-    last = None
-    for p in escalating(prec, max_prec):
-        roots = complex_roots(poly, prec=p, max_prec=max_prec)
-        with working_precision(p):
-            acc = lead_abs.to_interval(p)
-            for rb in roots:
-                acc = acc * abs(rb.box).maximum(1) ** rb.multiplicity
-            acc = acc.clamp_below(lead_abs.to_interval(p).lo)
-            last = acc
-        if last.width <= goal:
-            break
-    return MahlerValue(last, poly.degree)
+    poly = as_poly(f)
+    goal = 2.0 ** (-(prec // 3))
+    enclosure = escalate(mahler_worker(poly), prec, max_prec,
+                         conclusive=lambda m: m.width <= goal)
+    return MahlerValue(enclosure, poly.degree)
 
 
 def mahler_sigma1_exact_split(s: SplitPoly) -> SqrtValue:
@@ -139,20 +147,19 @@ def check_complexmahler(f, prec: int = DEFAULT_PREC,
         return BoundCheck("complexmahler", lhs_iv, rhs_iv,
                           sign_verdict(lhs_sv.compare(rhs_sv)),
                           margin_of(lhs_iv, rhs_iv), exact=True)
-    poly = f if isinstance(f, PolyOverK) else None
-    if poly is None:
-        from .polynomials import int_to_poly
-        poly = int_to_poly([Fraction(c) for c in f])
-    n = poly.degree
+    poly = as_poly(f)
     lhs_sv = _gauss_norm_sigma1_exact(poly)
-    last = None
-    for p in escalating(prec, max_prec):
-        m = mahler_measure(poly, prec=p, max_prec=max_prec)
+    scale = Fraction(1, poly.degree + 1)
+    measure = mahler_worker(poly)
+
+    def at(p: int) -> BoundCheck | None:
+        m = measure(p)
+        if m is None:
+            return None
         with working_precision(p):
             lhs = lhs_sv.to_interval(p)
-            rhs = m.enclosure * ri(Fraction(1, n + 1)).sqrt()
-        verdict = interval_verdict(lhs, rhs)
-        last = BoundCheck("complexmahler", lhs, rhs, verdict, margin_of(lhs, rhs))
-        if verdict != INCONCLUSIVE:
-            return last
-    return last
+            rhs = m * ri(scale).sqrt()
+        return BoundCheck("complexmahler", lhs, rhs, interval_verdict(lhs, rhs),
+                          margin_of(lhs, rhs))
+
+    return escalate(at, prec, max_prec, conclusive=lambda c: c.verdict != INCONCLUSIVE)

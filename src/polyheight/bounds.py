@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .analytic import check_complexmahler, mahler_measure
+from .analytic import check_complexmahler, mahler_measure, mahler_worker
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement
 from .heights import count_unity_roots, height, mk_alpha_exact
-from .intervals import DEFAULT_PREC, ri, working_precision
+from .intervals import DEFAULT_PREC, escalate, ri, working_precision
 from .numutil import totient
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
                           is_primitive_int)
@@ -234,19 +234,15 @@ def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
                     return
                 if has_unit_mahler(coeffs):
                     return
-                p = prec
-                while True:
-                    m = mahler_measure(int_to_poly(coeffs), prec=p)
-                    if float(m.lo) > float(cap):
-                        return
-                    if float(m.lo) > 1:
-                        break
-                    p *= 2
-                    if p > 4096:
-                        # nontrivial by the Kronecker filter, so this is
-                        # unreachable; dropping it silently would be unsound
-                        raise ArithmeticError(
-                            f"cannot separate measure of {coeffs} from 1")
+                m = escalate(mahler_worker(coeffs), prec,
+                             conclusive=lambda m: m.lo > 1)
+                if m.lo <= 1:
+                    # nontrivial by the Kronecker filter, so this is
+                    # unreachable; dropping it silently would be unsound
+                    raise ArithmeticError(
+                        f"cannot separate measure of {coeffs} from 1")
+                if float(m.lo) > float(cap):
+                    return
                 v = float(m.lo)
                 if best is None or v < best:
                     best = v

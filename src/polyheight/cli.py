@@ -6,12 +6,17 @@ document (schema 1).  Exact rationals are serialized as strings, never
 floats; enclosures are [lo, hi] decimal-string pairs tagged with the
 working precision.
 
+Printed enclosure endpoints are rounded outward, so every printed
+[lo, hi] contains the value.
+
 Exit codes: 0 success/holds, 1 a checked bound failed, 2 inconclusive
-at the precision cap, 3 input error.
+or roots not certified at the precision cap, 3 input error (including
+malformed flags).
 """
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +28,8 @@ from .analytic import check_complexmahler, mahler_measure
 from .bounds import (check_alphabound1, check_alphabound2, check_bound1,
                      check_bound2, ck_interval, t2_constant)
 from .heights import height
-from .intervals import DEFAULT_PREC, RealInterval
+from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
+                        RealInterval, check_precision, mpf_to_fraction)
 from .polyparse import ParseError, parse_field, parse_poly
 from .search import (ck_lower_certify, lattice_case_check, mk_search,
                      pell_counterexample, recognize_split)
@@ -49,11 +55,19 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _interval_json(iv: RealInterval, digits: int = 30) -> list[str]:
-    return [mpmath.nstr(iv.lo, digits), mpmath.nstr(iv.hi, digits)]
+    """[lo, hi] rounded outward to `digits` significant digits, in
+    mpmath.nstr's format."""
+    out = []
+    for x, rounding in ((iv.lo, decimal.ROUND_FLOOR), (iv.hi, decimal.ROUND_CEILING)):
+        q = mpf_to_fraction(x)
+        d = decimal.Context(prec=digits, rounding=rounding).divide(q.numerator, q.denominator)
+        with mpmath.workdps(digits + 10):   # d has `digits` digits: nstr keeps it exactly
+            out.append(mpmath.nstr(mpmath.mpf(str(d)), digits))
+    return out
 
 
 def _interval_text(iv: RealInterval, digits: int = 12) -> str:
-    return f"[{mpmath.nstr(iv.lo, digits)}, {mpmath.nstr(iv.hi, digits)}]"
+    return "[{}, {}]".format(*_interval_json(iv, digits))
 
 
 def _check_json(c) -> dict:
@@ -274,18 +288,32 @@ def _cmd_t2(args) -> int:
                          [], args.precision), args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _precision(text: str) -> int:
+    try:
+        return check_precision(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PREC,
-                        help="working precision in bits (default 256)")
+    common = _Parser(add_help=False)
+    common.add_argument("--precision", type=_precision, default=DEFAULT_PREC,
+                        help=f"working precision in bits, {MIN_PREC} to {MAX_PREC} "
+                             f"(default {DEFAULT_PREC})")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON report instead of a table")
-    common.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (currently single-process)")
 
-    p = argparse.ArgumentParser(prog="polyheight",
-                                description="Heights, Gauss norms and Mahler "
-                                            "measures over Q and quadratic fields")
+    p = _Parser(prog="polyheight",
+                description="Heights, Gauss norms and Mahler measures over Q "
+                            "and quadratic fields")
     p.add_argument("--version", action="version", version=f"polyheight {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -349,17 +377,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # usage errors exit with EXIT_INPUT, --help with 0
+        return exc.code
     if args.cmd == "verify" and not args.all and args.check is None:
         args.all = True
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -11,23 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intervals import DEFAULT_PREC, RealInterval, ri, working_precision
-from .numutil import rational_sqrt
-
-
-def _surd_sign(u: Fraction, v: Fraction, D: int) -> int:
-    """Exact sign of u + v*sqrt(D) for D > 0."""
-    if v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return 1 if v > 0 else -1
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    cmp = u * u - D * v * v
-    if cmp == 0:
-        return 0
-    return (1 if cmp > 0 else -1) * ((u > 0) - (u < 0))
+from .numutil import power, rational_sqrt, surd_sign
 
 
 class SqrtValue:
@@ -49,7 +33,7 @@ class SqrtValue:
     def _inner_sign(self) -> int:
         if self.D is None:
             return (self.u > 0) - (self.u < 0)
-        return _surd_sign(self.u, self.v, self.D)
+        return surd_sign(self.u, self.v, self.D)
 
     # -- constructors ---------------------------------------------------
 
@@ -115,14 +99,7 @@ class SqrtValue:
     def __pow__(self, k: int) -> "SqrtValue":
         if k < 0:
             return SqrtValue.one() / self ** (-k)
-        out = SqrtValue.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, SqrtValue.one())
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
@@ -140,7 +117,7 @@ class SqrtValue:
         du, dv = self.u - other.u, self.v - other.v
         if D is None:
             return (du > 0) - (du < 0)
-        return _surd_sign(du, dv, D)
+        return surd_sign(du, dv, D)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (SqrtValue, int, Fraction)):
@@ -169,9 +146,6 @@ class SqrtValue:
         if self.v != 0:
             return None
         return rational_sqrt(self.u)
-
-    def square_rational(self) -> Fraction | None:
-        return self.u if self.v == 0 else None
 
     def to_interval(self, prec: int = DEFAULT_PREC) -> RealInterval:
         with working_precision(prec):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from mpmath import iv
 
 from .intervals import DEFAULT_PREC, ComplexBox, RealInterval, ri, working_precision
-from .numutil import is_squarefree
+from .numutil import is_squarefree, power, surd_sign
 
 _FIELD_RE = re.compile(r"^\s*Q\s*(?:\(\s*sqrt\s*\(\s*(-?\d+)\s*\)\s*\))?\s*$")
 
@@ -175,14 +175,7 @@ class FieldElement:
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.field.one())
 
     def conj(self) -> "FieldElement":
         return FieldElement(self.a, -self.b, self.field)
@@ -217,28 +210,9 @@ class FieldElement:
 
     def sign_sigma1(self) -> int:
         """Exact sign of the image under the first real embedding."""
-        a, b, D = self.a, self.b, self.field.D
         if self.field.is_imaginary:
             raise ValueError("no real embedding")
-        if b == 0 or self.field.is_rational:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        cmp = a * a - D * b * b  # sign(a + b sqrt D) = sign(a) iff a^2 > D b^2
-        if cmp == 0:
-            return 0
-        return (1 if cmp > 0 else -1) * ((a > 0) - (a < 0))
-
-    def compare_sigma1(self, other) -> int:
-        """Exact three-way comparison of first-embedding images."""
-        diff = self - self._coerce(other)
-        if diff.is_zero():
-            return 0
-        return diff.sign_sigma1()
+        return surd_sign(self.a, self.b, self.field.D)
 
     # -- embeddings -------------------------------------------------------
 
@@ -255,9 +229,6 @@ class FieldElement:
                         ComplexBox((a - b * rootD)._v, iv.mpf(0))]
             return [ComplexBox(a._v, (b * rootD)._v),
                     ComplexBox(a._v, (-b * rootD)._v)]
-
-    def abs_sigma1(self, prec: int = DEFAULT_PREC) -> RealInterval:
-        return abs(self.embeddings(prec)[0])
 
     def __repr__(self) -> str:
         return f"FieldElement({self.a}, {self.b}, {self.field})"

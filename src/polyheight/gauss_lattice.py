@@ -5,6 +5,8 @@ for the lattice scans over coprime pairs.
 """
 from __future__ import annotations
 
+from .numutil import power
+
 
 def _round_half(n: int, d: int) -> int:
     """Nearest integer to n/d (ties toward +infinity), d > 0."""
@@ -48,13 +50,7 @@ class GaussInt:
         return GaussInt(self.a, -self.b)
 
     def __pow__(self, k: int) -> "GaussInt":
-        out, base = GaussInt(1, 0), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, GaussInt(1, 0))
 
     def divmod(self, other: "GaussInt") -> tuple["GaussInt", "GaussInt"]:
         n = other.norm()
@@ -117,13 +113,7 @@ class EisensteinInt:
         return EisensteinInt(self.a - self.b, -self.b)
 
     def __pow__(self, k: int) -> "EisensteinInt":
-        out, base = EisensteinInt(1, 0), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, EisensteinInt(1, 0))
 
     def divmod(self, other: "EisensteinInt") -> tuple["EisensteinInt", "EisensteinInt"]:
         n = other.norm()

@@ -3,30 +3,52 @@
 Thin wrappers over ``mpmath.iv`` so that every enclosure in the library
 carries its own endpoints and shrinks under precision escalation.  The
 working precision is the ambient ``mpmath.iv`` precision; use
-:func:`working_precision` to scope it.
+:func:`working_precision` to scope it, and :func:`escalate`, the one
+precision-escalation loop, to retry a computation at doubled precision.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 import mpmath
 from mpmath import iv
 
+MIN_PREC = 32
 DEFAULT_PREC = 256
 MAX_PREC = 4096
 
+T = TypeVar("T")
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    p, q = mpmath.libmp.to_rational(mpmath.mpf(x)._mpf_)
+
+class CertificationError(RuntimeError):
+    """No precision up to the cap certified a result."""
+
+
+def check_precision(bits: int) -> int:
+    """bits itself, or ValueError when it is not a supported working
+    precision (MIN_PREC to MAX_PREC bits)."""
+    if not MIN_PREC <= bits <= MAX_PREC:
+        raise ValueError(f"precision must be between {MIN_PREC} and {MAX_PREC} bits, "
+                         f"got {bits}")
+    return bits
+
+
+def mpf_to_fraction(x: mpmath.mpf, floor_bits: int | None = None) -> Fraction:
+    """Exact rational value of a finite mpf, or of x rounded toward -inf
+    to floor_bits bits when that is given."""
+    v = x._mpf_
+    if floor_bits is not None:
+        v = mpmath.libmp.mpf_pos(v, floor_bits, mpmath.libmp.round_floor)
+    p, q = mpmath.libmp.to_rational(v)
     return Fraction(int(p), int(q))
 
 
 @contextmanager
 def working_precision(bits: int):
-    """Temporarily set the interval working precision (in bits)."""
+    """Temporarily set the interval working precision (checked), in bits."""
+    check_precision(bits)
     old_iv, old_mp = iv.prec, mpmath.mp.prec
     iv.prec = bits
     mpmath.mp.prec = bits
@@ -37,12 +59,28 @@ def working_precision(bits: int):
         mpmath.mp.prec = old_mp
 
 
-def escalating(start: int = DEFAULT_PREC, cap: int = MAX_PREC):
-    """Yield working precisions start, 2*start, ... up to cap."""
-    p = start
+def escalate(attempt: Callable[[int], T | None], start: int = DEFAULT_PREC,
+             cap: int = MAX_PREC,
+             conclusive: Callable[[T], bool] = lambda result: True) -> T:
+    """The precision-escalation loop: attempt(p) at p = start, 2*start, ...
+    up to cap, where attempt returns None when it certified nothing at p.
+
+    Returns the first result that is conclusive, else the last result;
+    raises CertificationError when no precision up to cap certified
+    anything, and ValueError for a start outside the supported range.
+    """
+    p, last = check_precision(start), None
     while p <= cap:
-        yield p
+        result = attempt(p)
+        if result is not None:
+            if conclusive(result):
+                return result
+            last = result
         p *= 2
+    if last is None:
+        raise CertificationError(
+            f"could not certify at any precision from {start} to {cap} bits")
+    return last
 
 
 class RealInterval:
@@ -71,11 +109,13 @@ class RealInterval:
 
     @property
     def lo(self) -> mpmath.mpf:
-        return mpmath.mpf(self._v.a)
+        """The lower endpoint, exactly (not re-rounded to the ambient precision)."""
+        return mpmath.mp.make_mpf(self._v._mpi_[0])
 
     @property
     def hi(self) -> mpmath.mpf:
-        return mpmath.mpf(self._v.b)
+        """The upper endpoint, exactly."""
+        return mpmath.mp.make_mpf(self._v._mpi_[1])
 
     @property
     def width(self) -> float:
@@ -96,12 +136,6 @@ class RealInterval:
 
     def overlaps(self, other: "RealInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def certainly_ge(self, other: "RealInterval") -> bool:
-        return self.lo >= other.hi
-
-    def certainly_lt(self, other: "RealInterval") -> bool:
-        return self.hi < other.lo
 
     # -- arithmetic ---------------------------------------------------
 
@@ -150,9 +184,6 @@ class RealInterval:
     def log(self) -> "RealInterval":
         return RealInterval(iv.log(self._v))
 
-    def exp(self) -> "RealInterval":
-        return RealInterval(iv.exp(self._v))
-
     def maximum(self, other) -> "RealInterval":
         o = other if isinstance(other, RealInterval) else RealInterval(self._coerce(other))
         return RealInterval.hull(max(self.lo, o.lo), max(self.hi, o.hi))
@@ -165,8 +196,7 @@ class RealInterval:
 
     def clamp_below(self, bound) -> "RealInterval":
         """Intersect with [bound, inf); bound must be a proven lower bound."""
-        b = self._coerce(bound)
-        blo = mpmath.mpf(b.a)
+        blo = RealInterval(self._coerce(bound)).lo
         if self.hi < blo:
             raise ValueError("enclosure entirely below proven bound")
         return RealInterval.hull(max(self.lo, blo), self.hi)
@@ -176,9 +206,6 @@ class RealInterval:
 
     def __str__(self) -> str:
         return str(self._v)
-
-
-ONE = None  # set below
 
 
 def ri(x) -> RealInterval:
@@ -198,10 +225,6 @@ class ComplexBox:
     def __init__(self, re, im):
         self.re = ri(re)
         self.im = ri(im)
-
-    @classmethod
-    def point(cls, z) -> "ComplexBox":
-        return cls(iv.mpf(z.real), iv.mpf(z.imag))
 
     @property
     def width(self) -> float:
@@ -236,13 +259,6 @@ class ComplexBox:
     def __abs__(self) -> RealInterval:
         return (self.re ** 2 + self.im ** 2).sqrt()
 
-    def conjugate(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def contains(self, other: "ComplexBox") -> bool:
-        return (self.re.lo <= other.re.lo and other.re.hi <= self.re.hi
-                and self.im.lo <= other.im.lo and other.im.hi <= self.im.hi)
-
     def contains_interior(self, other: "ComplexBox") -> bool:
         return (self.re.lo < other.re.lo and other.re.hi < self.re.hi
                 and self.im.lo < other.im.lo and other.im.hi < self.im.hi)
@@ -254,22 +270,6 @@ class ComplexBox:
     def intersect(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(self.re.intersect(other.re), self.im.intersect(other.im))
 
-    def inflate(self, r) -> "ComplexBox":
-        pad = ri([-r, r]) if not isinstance(r, RealInterval) else r
-        return ComplexBox(self.re + pad, self.im + pad)
-
     def __repr__(self) -> str:
         return f"ComplexBox({self.re!r}, {self.im!r})"
 
-
-def log2_interval() -> RealInterval:
-    return RealInterval(iv.log(iv.mpf(2)))
-
-
-def float_log(x: int | Fraction) -> float:
-    """log of a positive rational that may exceed float range."""
-    if isinstance(x, Fraction):
-        return float_log(x.numerator) - float_log(x.denominator)
-    if x <= 0:
-        raise ValueError("log of nonpositive value")
-    return math.log(x)

@@ -1,7 +1,9 @@
-"""Integer helpers: primality, factoring, squarefree tests, small symbols."""
+"""Integer helpers: primality, factoring, squarefree tests, small symbols,
+plus square-and-multiply powering and the exact sign of a quadratic surd."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,15 +90,6 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-def prime_support(q: Fraction) -> set[int]:
-    """Primes dividing the numerator or denominator of a nonzero rational."""
-    if q == 0:
-        raise ValueError("zero has no finite support")
-    primes = set(factorize(q.numerator))
-    primes |= set(factorize(q.denominator))
-    return primes
 
 
 def is_squarefree(n: int) -> bool:
@@ -203,3 +196,31 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         t = t * c % p
         r = r * b % p
     return r
+
+
+def power(base, k: int, one, mul=operator.mul):
+    """base^k for k >= 0 by square-and-multiply; one is the identity of mul."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
+def surd_sign(u: Fraction, v: Fraction, D: int | None) -> int:
+    """Exact sign of u + v*sqrt(D) for D > 0 (D is unused when v = 0)."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if u == 0:
+        return 1 if v > 0 else -1
+    if u > 0 and v > 0:
+        return 1
+    if u < 0 and v < 0:
+        return -1
+    cmp = u * u - D * v * v
+    if cmp == 0:
+        return 0
+    return (1 if cmp > 0 else -1) * ((u > 0) - (u < 0))

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, rationals
 from .intervals import ComplexBox, DEFAULT_PREC
-from .numutil import totient
+from .numutil import power, totient
 
 
 class PolyOverK:
@@ -64,14 +64,7 @@ class PolyOverK:
         return PolyOverK(out, self.field)
 
     def __pow__(self, k: int) -> "PolyOverK":
-        out = PolyOverK([self.field.one()], self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, PolyOverK([self.field.one()], self.field))
 
     def scale(self, c: FieldElement) -> "PolyOverK":
         return PolyOverK([ci * c for ci in self.coeffs], self.field)
@@ -256,14 +249,7 @@ def intpoly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def intpoly_pow(a: Sequence[int], k: int) -> list[int]:
-    out = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            out = intpoly_mul(out, base)
-        base = intpoly_mul(base, base)
-        k >>= 1
-    return out
+    return power(list(a), k, [1], intpoly_mul)
 
 
 def intpoly_content(a: Sequence[int]) -> int:
@@ -355,3 +341,8 @@ def has_unit_mahler(coeffs: Sequence[int]) -> bool:
 def int_to_poly(coeffs: Sequence[int | Fraction], field: Field | None = None) -> PolyOverK:
     fld = field or rationals()
     return PolyOverK.from_rationals([Fraction(c) for c in coeffs], fld)
+
+
+def as_poly(f: PolyOverK | Sequence[int | Fraction]) -> PolyOverK:
+    """f itself, or the polynomial over Q with coefficient sequence f."""
+    return f if isinstance(f, PolyOverK) else int_to_poly(f)

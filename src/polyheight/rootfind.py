@@ -6,41 +6,28 @@ interval Newton operator: if N(B) = mid(B) - f(mid)/f'(B) maps a box
 strictly into itself, B contains exactly one root of the squarefree
 factor.  Multiplicities come from an exact squarefree decomposition, so
 a degree-m factor with m pairwise disjoint certified boxes accounts for
-every root.  Failure escalates precision up to a cap and is reported,
-never silently truncated.
+every root.  :func:`isolate_roots` works at one precision; failure there
+escalates precision up to a cap (``intervals.escalate``) and is
+reported, never silently truncated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 import numpy as np
 from mpmath import iv
 
-from .intervals import (DEFAULT_PREC, MAX_PREC, ComplexBox, escalating,
+from .intervals import (DEFAULT_PREC, MAX_PREC, ComplexBox, escalate,
                         working_precision)
-from .fields import rationals
-from .polynomials import PolyOverK
-
-
-class CertificationError(RuntimeError):
-    """Root enclosures could not be certified at the precision cap."""
+from .intervals import CertificationError  # noqa: F401  (raised by complex_roots)
+from .polynomials import PolyOverK, as_poly
 
 
 @dataclass(frozen=True)
 class RootBox:
     box: ComplexBox
     multiplicity: int
-
-
-def _coerce_poly(f) -> PolyOverK:
-    if isinstance(f, PolyOverK):
-        return f
-    if isinstance(f, Sequence):
-        return PolyOverK.from_rationals([Fraction(c) for c in f], rationals())
-    raise TypeError("expected a polynomial or a coefficient sequence")
 
 
 def _horner_box(coeffs: list[ComplexBox], x: ComplexBox) -> ComplexBox:
@@ -177,31 +164,36 @@ def _isolate_squarefree(g: PolyOverK, prec: int, target: mpmath.mpf,
         return boxes
 
 
+def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
+                  target_width=None, embedding: int = 0) -> list[RootBox] | None:
+    """Certified boxes, at working precision prec, for every root of the
+    squarefree factors (with their multiplicities), or None when some
+    factor could not be isolated at this precision."""
+    with working_precision(prec):
+        target = (mpmath.mpf(target_width) if target_width is not None
+                  else mpmath.mpf(2) ** (-(prec // 2)))
+    out: list[RootBox] = []
+    for g, mult in factors:
+        boxes = _isolate_squarefree(g, prec, target, embedding)
+        if boxes is None:
+            return None
+        out.extend(RootBox(b, mult) for b in boxes)
+    return out
+
+
 def complex_roots(f, target_width=None, prec: int = DEFAULT_PREC,
                   max_prec: int = MAX_PREC, embedding: int = 0) -> list[RootBox]:
     """All complex roots of f (under the chosen embedding), as certified
     boxes with multiplicities.  Coefficients must be exact (rational or
     field elements); the leading coefficient is nonzero by construction.
+    Raises CertificationError when no precision up to max_prec isolates
+    every root.
     """
-    poly = _coerce_poly(f)
+    poly = as_poly(f)
     if poly.degree == 0:
         return []
     factors = poly.squarefree_decomposition()
-    out: list[RootBox] = []
-    for start in escalating(prec, max_prec):
-        out = []
-        with working_precision(start):
-            target = (mpmath.mpf(target_width) if target_width is not None
-                      else mpmath.mpf(2) ** (-(start // 2)))
-        ok = True
-        for g, mult in factors:
-            boxes = _isolate_squarefree(g, start, target, embedding)
-            if boxes is None:
-                ok = False
-                break
-            out.extend(RootBox(b, mult) for b in boxes)
-        if ok:
-            assert sum(r.multiplicity for r in out) == poly.degree
-            return out
-    raise CertificationError(
-        f"could not certify roots of degree-{poly.degree} polynomial at {max_prec} bits")
+    roots = escalate(lambda p: isolate_roots(factors, p, target_width, embedding),
+                     prec, max_prec)
+    assert sum(r.multiplicity for r in roots) == poly.degree
+    return roots

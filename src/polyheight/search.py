@@ -17,9 +17,8 @@ from .exactreal import SqrtValue
 from .fields import Field, FieldElement, quadratic_field
 from .gauss_lattice import EisensteinInt, GaussInt, is_coprime
 from .heights import CharPoly, mk_alpha_exact
-from .intervals import DEFAULT_PREC, MAX_PREC
+from .intervals import DEFAULT_PREC, MAX_PREC, mpf_to_fraction
 from .numutil import is_perfect_square, is_squarefree
-from .pell import pell_fundamental
 from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_max_abs,
                           intpoly_mul, intpoly_sum_abs, is_primitive_int)
 from .rootfind import complex_roots
@@ -44,13 +43,13 @@ class MKResult:
 
     @property
     def lower_fraction(self) -> Fraction:
-        """An exact rational lower bound for the minimum (floor of the
-        enclosure endpoint)."""
+        """An exact rational lower bound for the minimum: the minimum itself
+        when rational, else the enclosure's lower endpoint rounded down
+        to 53 bits, which keeps it a short rational."""
         q = self.value_exact.as_rational()
         if q is not None:
             return q
-        from .intervals import mpf_to_fraction
-        return mpf_to_fraction(self.value.enclosure.lo)
+        return mpf_to_fraction(self.value.enclosure.lo, floor_bits=53)
 
 
 def mk_search(field: Field, cap: float, prec: int = DEFAULT_PREC) -> MKResult:
@@ -157,6 +156,8 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
     The base must be primitive with all roots in the multiplicative
     group of the field.
     """
+    if j_max < 1:
+        raise ValueError("jmax must be at least 1")
     base = [int(c) for c in base]
     if not is_primitive_int(base):
         raise ValueError("base polynomial must be primitive")
@@ -287,6 +288,22 @@ class PellWitness:
     product: Fraction        # full local product at exponent 2
 
 
+def _pell_fundamental(d: int) -> tuple[int, int]:
+    """Smallest positive (x, y) with x^2 - d y^2 = 1, via the continued
+    fraction expansion of sqrt(d).  d must be a non-square above 1."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while h * h - d * k * k != 1:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
 def pell_counterexample(d: int) -> PellWitness:
     """The Pell-equation obstruction over Q(sqrt(-d)): with b^2 - d c^2 = 1
     and alpha = b/(c sqrt(-d)), the exponent-2 local product collapses to
@@ -298,7 +315,7 @@ def pell_counterexample(d: int) -> PellWitness:
         raise ValueError(f"{d} is a perfect square")
     if not is_squarefree(d):
         raise ValueError(f"{d} is not squarefree")
-    b, c = pell_fundamental(d)
+    b, c = _pell_fundamental(d)
     field = quadratic_field(-d)
     gamma = field.element(0, c)
     alpha = field.element(b) / gamma
@@ -337,65 +354,50 @@ def _verify_candidates(f_scaled: PolyOverK, candidates: set[FieldElement],
     return None
 
 
+def _candidates(field: Field, zs1, zs2, q: int) -> set[FieldElement]:
+    """Field elements with coordinates of denominator q nearest to the
+    approximate roots zs1 of f (first embedding) and, for real quadratic
+    fields, zs2 of its conjugate."""
+    if field.is_rational:
+        return {field.element(_round_fraction(z.real, q)) for z in zs1}
+    if field.is_imaginary:
+        rd = math.sqrt(-field.D)
+        return {field.element(_round_fraction(z.real, q), _round_fraction(z.imag / rd, q))
+                for z in zs1}
+    rd = math.sqrt(field.D)
+    return {field.element(_round_fraction((z1.real + z2.real) / 2, q),
+                          _round_fraction((z1.real - z2.real) / (2 * rd), q))
+            for z1 in zs1 for z2 in zs2}
+
+
+def _is_real_quadratic(field: Field) -> bool:
+    return field.is_totally_real and not field.is_rational
+
+
 def _fast_candidates(f: PolyOverK, q: int) -> set[FieldElement] | None:
-    field = f.field
+    def double_roots(g: PolyOverK):
+        arr = np.array([complex(b.mid()) for b in g.embedded_coeffs(64, 0)], dtype=complex)
+        return np.roots(arr[::-1]) if np.all(np.isfinite(arr)) else None
+
     try:
-        mids = [complex(b.mid()) for b in f.embedded_coeffs(64, 0)]
-        arr = np.array(mids, dtype=complex)
-        if not np.all(np.isfinite(arr)):
-            return None
-        roots1 = np.roots(arr[::-1])
+        roots1 = double_roots(f)
+        roots2 = double_roots(f.conj()) if _is_real_quadratic(f.field) else ()
     except (OverflowError, ValueError, np.linalg.LinAlgError):
         return None
-    cands: set[FieldElement] = set()
-    if field.is_rational:
-        for z in roots1:
-            cands.add(field.element(_round_fraction(z.real, q)))
-    elif field.is_imaginary:
-        rd = math.sqrt(-field.D)
-        for z in roots1:
-            cands.add(field.element(_round_fraction(z.real, q),
-                                    _round_fraction(z.imag / rd, q)))
-    else:
-        try:
-            mids2 = [complex(b.mid()) for b in f.conj().embedded_coeffs(64, 0)]
-            roots2 = np.roots(np.array(mids2, dtype=complex)[::-1])
-        except (OverflowError, ValueError, np.linalg.LinAlgError):
-            return None
-        rd = math.sqrt(field.D)
-        for z1 in roots1:
-            for z2 in roots2:
-                a = _round_fraction((z1.real + z2.real) / 2, q)
-                b = _round_fraction((z1.real - z2.real) / (2 * rd), q)
-                cands.add(field.element(a, b))
-    return cands
+    if roots1 is None or roots2 is None:
+        return None
+    return _candidates(f.field, roots1, roots2, q)
 
 
 def _certified_candidates(f: PolyOverK, q: int, prec: int,
                           max_prec: int) -> set[FieldElement]:
-    field = f.field
-    target = 1 / (8 * q)
-    boxes1 = complex_roots(f, target_width=target, prec=prec, max_prec=max_prec)
-    cands: set[FieldElement] = set()
-    if field.is_rational:
-        for rb in boxes1:
-            cands.add(field.element(_round_fraction(rb.box.re.mid, q)))
-    elif field.is_imaginary:
-        rd = math.sqrt(-field.D)
-        for rb in boxes1:
-            cands.add(field.element(_round_fraction(rb.box.re.mid, q),
-                                    _round_fraction(rb.box.im.mid / rd, q)))
-    else:
-        boxes2 = complex_roots(f.conj(), target_width=target, prec=prec,
-                               max_prec=max_prec)
-        rd = math.sqrt(field.D)
-        for r1 in boxes1:
-            for r2 in boxes2:
-                z1, z2 = r1.box.re.mid, r2.box.re.mid
-                a = _round_fraction((z1 + z2) / 2, q)
-                b = _round_fraction((z1 - z2) / (2 * rd), q)
-                cands.add(field.element(a, b))
-    return cands
+    def certified_roots(g: PolyOverK):
+        return [rb.box.mid() for rb in complex_roots(g, target_width=1 / (8 * q),
+                                                     prec=prec, max_prec=max_prec)]
+
+    roots1 = certified_roots(f)
+    roots2 = certified_roots(f.conj()) if _is_real_quadratic(f.field) else ()
+    return _candidates(f.field, roots1, roots2, q)
 
 
 def recognize_split(f, field: Field, prec: int = DEFAULT_PREC,

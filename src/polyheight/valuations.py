@@ -34,22 +34,10 @@ class PrimeOfK:
     branch: int | None = None
     D: int | None = None
 
-    @property
-    def hensel_root(self) -> int | None:
-        """Square root of D mod p identifying the branch (split only)."""
-        if self.kind != "split":
-            return None
-        return _hensel_root(self.D, self.p, self.branch, 1)
-
     def lifted_root(self, level: int) -> int:
         if self.kind != "split":
             raise ValueError("only split primes carry Hensel data")
         return _hensel_root(self.D, self.p, self.branch, level)
-
-    def conjugate(self) -> "PrimeOfK":
-        if self.kind != "split":
-            return self
-        return PrimeOfK(self.p, "split", self.residue_norm, 1 - self.branch, self.D)
 
     def __str__(self) -> str:
         tag = f", branch {self.branch}" if self.branch is not None else ""

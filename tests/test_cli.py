@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from polyheight.cli import main
+from polyheight.cli import _interval_json, _interval_text, main
+from polyheight.intervals import RealInterval, working_precision
 
 
 def run_cli(capsys, *argv):
@@ -98,8 +100,8 @@ def test_input_errors(capsys):
     code, out, err = run_cli(capsys, "height", "--field", "Q",
                              "--poly", "sqrt(-1)x+1")
     assert code == 3
-    code, out, err = run_cli(capsys, "mahler", "--poly", "x", "--threads", "0")
-    assert code == 3
+    code, out, err = run_cli(capsys, "mahler", "--poly", "x", "--precision", "0")
+    assert code == 3 and "between 32 and 4096" in err
 
 
 def test_deterministic_output(capsys):
@@ -155,3 +157,42 @@ def test_invalid_mk_rejected(capsys):
     code, rep, _ = run_json(capsys, "verify", "--field", "Q(sqrt(5))",
                             "--poly", "x^2-x-1", "--mk", "1.5")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mahler", "--poly", "x", "--precision", "-5"],
+    ["mahler", "--poly", "x", "--precision", "8192"],
+    ["mahler", "--poly", "x", "--precision", "abc"],
+    ["mahler"],
+    ["mahler", "--poly", "x", "--threads", "1"],
+])
+def test_malformed_flags_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and "error:" in err
+
+
+def test_ck_certify_jmax_zero(capsys):
+    code, out, err = run_cli(capsys, "ck-certify", "--base", "x^2-1", "--jmax", "0")
+    assert code == 3 and "jmax must be at least 1" in err
+
+
+def test_certification_failure_exits_2(capsys):
+    # roots 2^-5000 apart cannot be separated below the 4096-bit cap
+    n = 2 ** 5000
+    code, out, err = run_cli(capsys, "mahler", "--poly",
+                             f"x^2 - (2 + 1/{n})x + (1 + 1/{n})")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_printed_enclosures_round_outward():
+    for q in (Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(-2, 3),
+              Fraction(10 ** 40, 3), Fraction(1, 3 * 10 ** 9), Fraction(4)):
+        with working_precision(256):
+            enc = RealInterval.from_fraction(q)
+        lo, hi = (Fraction(t) for t in _interval_json(enc))
+        assert lo <= q <= hi
+        assert hi - lo <= abs(q) / 10 ** 28
+        lo, hi = (Fraction(t) for t in _interval_text(enc).strip("[]").split(", "))
+        assert lo <= q <= hi
+        assert hi - lo <= abs(q) / 10 ** 10
+    assert _interval_json(RealInterval.from_fraction(Fraction(4))) == ["4.0", "4.0"]

@@ -12,7 +12,7 @@ from polyheight import (PolyOverK, SplitPoly, check_complexmahler,
                         roots_of_unity, split_prime, valuation)
 from polyheight.gauss_lattice import (EisensteinInt, GaussInt, is_coprime,
                                       ring_gcd)
-from polyheight.intervals import mpf_to_fraction
+from polyheight.intervals import RealInterval, mpf_to_fraction, working_precision
 
 
 def test_gauss_ring_euclidean_property(rng):
@@ -143,6 +143,16 @@ def test_certify_base_with_conjugate_irrational_roots():
 def test_mpf_fraction_roundtrip():
     for x in (0.5, -1.25, 3.0, 1e-30):
         assert mpf_to_fraction(mpmath.mpf(x)) == F(x)
+
+
+def test_endpoints_exact_outside_precision_scope():
+    # endpoints are read exactly, not re-rounded at mpmath's ambient 53 bits
+    for q in (F(1, 3), F(-2, 7), F(10 ** 40, 3)):
+        with working_precision(256):
+            enc = RealInterval.from_fraction(q)
+        assert q in enc
+        assert mpf_to_fraction(enc.lo) <= q <= mpf_to_fraction(enc.hi)
+        assert 0 < mpf_to_fraction(enc.hi) - mpf_to_fraction(enc.lo) <= abs(q) / 2 ** 250
 
 
 def test_height_of_torsion_products_is_one():

@@ -3,8 +3,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from polyheight import PolyOverK, complex_roots, int_to_poly, quadratic_field
-from polyheight.rootfind import CertificationError
+import polyheight.analytic as analytic
+from polyheight import (PolyOverK, check_complexmahler, complex_roots, int_to_poly,
+                        mahler_measure, quadratic_field)
+from polyheight.rootfind import CertificationError, isolate_roots
+
+CLUSTER_2_40 = [1 + F(1, 2 ** 40), -(2 + F(1, 2 ** 40)), 1]   # roots 2^-40 apart
 
 
 def _mids(rootboxes):
@@ -89,9 +93,35 @@ def test_degree_20_random(rng):
 
 def test_certification_failure_is_reported():
     # roots 2^-40 apart cannot be separated at a 32-bit precision cap
-    f = int_to_poly([1 + F(1, 2 ** 40), -(2 + F(1, 2 ** 40)), 1])
+    f = int_to_poly(CLUSTER_2_40)
     with pytest.raises(CertificationError):
         complex_roots(f, prec=32, max_prec=32)
     # escalation resolves the same polynomial
     rs = complex_roots(f, prec=32, max_prec=1024)
     assert len(rs) == 2
+
+
+@pytest.mark.parametrize("compute", [mahler_measure, check_complexmahler])
+def test_one_escalation_loop(monkeypatch, compute):
+    # the measure and the check escalate once: every precision handed to
+    # the single-precision isolation worker is new and larger
+    seen = []
+
+    def recording(factors, prec, *args, **kwargs):
+        seen.append(prec)
+        return isolate_roots(factors, prec, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "isolate_roots", recording)
+    compute(int_to_poly(CLUSTER_2_40), prec=32)
+    assert seen[0] == 32 and len(seen) >= 2
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("prec", [0, -5, 31, 8192])
+def test_precision_out_of_range_rejected(prec):
+    with pytest.raises(ValueError):
+        mahler_measure(CLUSTER_2_40, prec=prec)
+    with pytest.raises(ValueError):
+        check_complexmahler(CLUSTER_2_40, prec=prec)
+    with pytest.raises(ValueError):
+        complex_roots(CLUSTER_2_40, prec=prec)

@@ -16,6 +16,18 @@ from conftest import ALL_FIELDS, random_split_poly
 
 # -- mk_search ---------------------------------------------------------------
 
+# squarefree D in [-30, 30] whose field has a measure in (1, 3]; 1 stands for Q
+MK_D = [-23, -15, -11, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 13, 17]
+
+
+def test_mk_lower_fraction_is_a_lower_bound():
+    for D in MK_D:
+        field = rationals() if D == 1 else quadratic_field(D)
+        res = mk_search(field, 3)
+        assert res.value_exact.compare(res.lower_fraction) >= 0, D
+        assert res.value_exact.compare(res.lower_fraction * (1 + F(1, 2 ** 50))) <= 0, D
+
+
 def test_mk_search_examples():
     q = rationals()
     r = mk_search(q, 3)
