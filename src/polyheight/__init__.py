@@ -10,12 +10,12 @@ from .bounds import (BoundCheck, CkInterval, MahlerFloor, T2Constant,
                      ck_interval, combined_bound_check, mahler_floor,
                      t2_constant)
 from .exactreal import SqrtValue
-from .fields import (Field, FieldElement, embed, is_root_of_unity, make_field,
-                     quadratic_field, rationals, roots_of_unity)
+from .fields import (Field, FieldElement, embed, make_field, quadratic_field,
+                     rationals, roots_of_unity)
 from .heights import (CharPoly, HeightReport, char_poly, count_unity_roots,
                       height, mk_alpha, mk_alpha_exact, mk_alpha_via_charpoly)
 from .intervals import DEFAULT_PREC, MAX_PREC, ComplexBox, RealInterval
-from .polynomials import PolyOverK, SplitPoly, expand, int_to_poly
+from .polynomials import PolyOverK, SplitPoly, int_to_poly
 from .rootfind import CertificationError, RootBox, complex_roots
 from .search import (Certificate, LatticeReport, MKResult, PellWitness,
                      SampleCheck, ck_lower_certify, lattice_case_check,

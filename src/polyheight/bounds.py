@@ -18,7 +18,7 @@ from .exactreal import SqrtValue
 from .fields import Field, FieldElement
 from .heights import count_unity_roots, height, mk_alpha_exact
 from .intervals import DEFAULT_PREC, escalate, ri, working_precision
-from .numutil import totient
+from .numutil import cyclotomic_orders
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
                           is_primitive_int)
 from .valuations import local_max_product
@@ -212,11 +212,6 @@ _T2_MAX_DEGREE = 6
 _T2_BUDGET = 5_000_000
 
 
-def _unity_exponent(k: int) -> int:
-    orders = [ell for ell in range(1, 2 * k * k + 3) if totient(ell) <= k]
-    return math.lcm(*orders)
-
-
 def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
     """Smallest certified Mahler-measure lower endpoint over all primitive
     integer polynomials of degree <= k with coefficients bounded by the
@@ -273,7 +268,7 @@ def t2_constant(k: int, cap: float, prec: int = DEFAULT_PREC) -> T2Constant:
         for n in range(1, k + 1))
     if size > _T2_BUDGET:
         raise ValueError(f"enumeration of ~{size} polynomials exceeds the budget")
-    w = _unity_exponent(k)
+    w = math.lcm(*cyclotomic_orders(k))
     found = _enumerate_measures(k, cap_frac, prec)
     m_floor = float(cap) if found is None else min(found, float(cap))
     c = w / math.log(2) + k / math.log(m_floor)

@@ -11,14 +11,16 @@ Printed enclosure endpoints are rounded outward, so every printed
 
 Exit codes: 0 success/holds, 1 a checked bound failed, 2 inconclusive
 or roots not certified at the precision cap, 3 input error (including
-malformed flags).
+malformed flags), 4 internal error (an unexpected exception).
 """
 from __future__ import annotations
 
 import argparse
 import decimal
 import json
+import math
 import sys
+import traceback
 from fractions import Fraction
 
 import mpmath
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 _CHECKS = {
     "alphabound1": check_alphabound1,
@@ -303,6 +306,15 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite(text: str) -> float:
+    try:
+        if math.isfinite(x := float(text)):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--precision", type=_precision, default=DEFAULT_PREC,
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mk", parents=[common], help="minimal local Mahler measure search")
     sp.add_argument("--field", default="Q")
-    sp.add_argument("--cap", type=float, default=3.0)
+    sp.add_argument("--cap", type=_finite, default=3.0)
     sp.set_defaults(func=_cmd_mk)
 
     sp = sub.add_parser("ck-certify", parents=[common],
@@ -342,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ck-interval", parents=[common],
                         help="certified interval for the growth constant")
     sp.add_argument("--field", default="Q")
-    sp.add_argument("--mk", type=float, required=True)
+    sp.add_argument("--mk", type=_finite, required=True)
     sp.set_defaults(func=_cmd_ck_interval)
 
     sp = sub.add_parser("verify", parents=[common],
@@ -353,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true",
                        help="run every check (default)")
     group.add_argument("--check", choices=list(_CHECKS) + ["bound1", "complexmahler"])
-    sp.add_argument("--mk", type=float, default=None,
+    sp.add_argument("--mk", type=_finite, default=None,
                     help="lower bound for the minimal measure (default: searched)")
     sp.set_defaults(func=_cmd_verify)
 
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("t2", parents=[common],
                         help="constant for bounded-degree root sets")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--cap", type=float, default=1.3)
+    sp.add_argument("--cap", type=_finite, default=1.3)
     sp.set_defaults(func=_cmd_t2)
     return p
 
@@ -391,6 +403,10 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as exc:   # exit 1 means only that a checked bound failed
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

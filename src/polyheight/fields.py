@@ -252,16 +252,6 @@ def embed(x: FieldElement, field: Field | None = None, prec: int = DEFAULT_PREC)
     return x.embeddings(prec)
 
 
-def is_root_of_unity(x: FieldElement, field: Field | None = None) -> bool:
-    """True iff x^w = 1 where w is the number of roots of unity in the field."""
-    if field is not None and field != x.field:
-        raise ValueError("field mismatch")
-    fld = x.field
-    if x.is_zero():
-        return False
-    return x ** fld.unity_order == fld.one()
-
-
 def roots_of_unity(field: Field) -> list[FieldElement]:
     """All roots of unity contained in the field (w of them)."""
     one = field.one()

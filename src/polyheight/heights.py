@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .analytic import MahlerValue, arch_gauss_exact, mahler_measure
 from .exactreal import SqrtValue
-from .fields import Field, FieldElement, is_root_of_unity
+from .fields import Field, FieldElement, roots_of_unity
 from .intervals import DEFAULT_PREC, MAX_PREC, RealInterval, working_precision
 from .numutil import rational_sqrt
 from .polynomials import PolyOverK, SplitPoly, int_to_poly
@@ -55,11 +55,9 @@ def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     Gauss's lemma; otherwise prime-by-prime from the coefficients.
     """
     if isinstance(f, SplitPoly):
-        split, poly = f, f.expand()
-        nonarch = _nonarch_of_split(split)
+        poly, nonarch = f.expand(), _nonarch_of_split(f)
     else:
-        poly = f
-        nonarch = nonarch_gauss_product(poly, poly.field)
+        poly, nonarch = f, nonarch_gauss_product(f, f.field)
     d = poly.field.degree
     arch_sv = arch_gauss_exact(poly)
     hd_sv = SqrtValue.of_rational(nonarch) * arch_sv
@@ -155,4 +153,5 @@ def mk_alpha_via_charpoly(alpha: FieldElement, field: Field | None = None,
 
 def count_unity_roots(s: SplitPoly) -> int:
     """Number of roots (with multiplicity) that are roots of unity."""
-    return sum(1 for r in s.roots if is_root_of_unity(r, s.field))
+    unity = set(roots_of_unity(s.field))
+    return sum(1 for r in s.roots if r in unity)

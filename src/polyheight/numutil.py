@@ -165,6 +165,11 @@ def totient(n: int) -> int:
     return phi
 
 
+def cyclotomic_orders(n: int) -> list[int]:
+    """The orders ell (phi(ell) <= n) of the roots of unity of degree <= n."""
+    return [ell for ell in range(1, 2 * n * n + 3) if totient(ell) <= n]
+
+
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a mod odd prime p (Tonelli-Shanks); a must be a QR."""
     a %= p

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, rationals
 from .intervals import ComplexBox, DEFAULT_PREC
-from .numutil import power, totient
+from .numutil import cyclotomic_orders, power
 
 
 class PolyOverK:
@@ -28,10 +28,6 @@ class PolyOverK:
             raise ValueError("zero polynomial")
         self.coeffs = tuple(cs)
         self.field = field
-
-    @classmethod
-    def from_rationals(cls, coeffs: Iterable[Fraction | int], field: Field) -> "PolyOverK":
-        return cls([field.element(c) for c in coeffs], field)
 
     @property
     def degree(self) -> int:
@@ -112,11 +108,8 @@ class PolyOverK:
     def conj(self) -> "PolyOverK":
         return PolyOverK([c.conj() for c in self.coeffs], self.field)
 
-    def is_rational_poly(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
-
     def rational_coeffs(self) -> list[Fraction]:
-        if not self.is_rational_poly():
+        if not all(c.is_rational() for c in self.coeffs):
             raise ValueError("polynomial has irrational coefficients")
         return [c.a for c in self.coeffs]
 
@@ -194,10 +187,21 @@ class PolyOverK:
         return " + ".join(parts)
 
 
-class SplitPoly:
-    """lead * prod (x - root_i) with every root a nonzero field element."""
+def _multiply_out(lead: FieldElement, roots: Sequence[FieldElement],
+                  field: Field) -> PolyOverK:
+    """lead * prod (x - root) as a PolyOverK."""
+    coeffs = [lead]
+    for r in roots:   # times (x - r): c_j becomes c_(j-1) - r c_j
+        coeffs = ([-(coeffs[0] * r)] + [lo - hi * r for lo, hi in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    return PolyOverK(coeffs, field)
 
-    __slots__ = ("lead", "roots", "field")
+
+class SplitPoly:
+    """lead * prod (x - root_i) with every root a nonzero field element,
+    expanded once, on construction."""
+
+    __slots__ = ("lead", "roots", "field", "_poly")
 
     def __init__(self, lead: FieldElement, roots: Iterable[FieldElement], field: Field):
         if lead.is_zero():
@@ -208,20 +212,14 @@ class SplitPoly:
         self.lead = lead
         self.roots = rs
         self.field = field
+        self._poly = _multiply_out(lead, rs, field)
 
     @property
     def degree(self) -> int:
         return len(self.roots)
 
     def expand(self) -> PolyOverK:
-        coeffs = [self.field.one()]
-        for r in self.roots:
-            nxt = [self.field.zero()] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - c * r
-            coeffs = nxt
-        return PolyOverK([c * self.lead for c in coeffs], self.field)
+        return self._poly
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SplitPoly) and self.lead == other.lead
@@ -229,10 +227,6 @@ class SplitPoly:
 
     def __repr__(self) -> str:
         return f"SplitPoly(lead={self.lead}, roots={[str(r) for r in self.roots]})"
-
-
-def expand(s: SplitPoly) -> PolyOverK:
-    return s.expand()
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +305,7 @@ def has_unit_mahler(coeffs: Sequence[int]) -> bool:
     n = len(cs) - 1
     if n == 0:
         return True
-    # roots of unity of degree <= n have order ell with phi(ell) <= n
-    orders = [ell for ell in range(1, 2 * n * n + 3) if totient(ell) <= n]
-    big_n = math.lcm(*orders)
+    big_n = math.lcm(*cyclotomic_orders(n))
     f = [Fraction(c) for c in cs]
     cyc = [Fraction(-1)] + [Fraction(0)] * (big_n - 1) + [Fraction(1)]  # x^N - 1
     while len(f) > 1:
@@ -340,7 +332,7 @@ def has_unit_mahler(coeffs: Sequence[int]) -> bool:
 
 def int_to_poly(coeffs: Sequence[int | Fraction], field: Field | None = None) -> PolyOverK:
     fld = field or rationals()
-    return PolyOverK.from_rationals([Fraction(c) for c in coeffs], fld)
+    return PolyOverK([fld.element(Fraction(c)) for c in coeffs], fld)
 
 
 def as_poly(f: PolyOverK | Sequence[int | Fraction]) -> PolyOverK:

@@ -159,6 +159,8 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
     if j_max < 1:
         raise ValueError("jmax must be at least 1")
     base = [int(c) for c in base]
+    if len(base) < 2:
+        raise ValueError("base polynomial must have degree at least 1")
     if not is_primitive_int(base):
         raise ValueError("base polynomial must be primitive")
     if check_split and recognize_split(int_to_poly(base, field), field) is None:

@@ -1,9 +1,11 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polyheight import cli
 from polyheight.cli import _interval_json, _interval_text, main
 from polyheight.intervals import RealInterval, working_precision
 
@@ -113,6 +115,17 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_verify_golden_output(capsys):
+    # verify --all --json over the five test fields, repeated roots and
+    # roots of unity prints exactly the stored reports: the same verdicts,
+    # enclosures and mk_used, byte for byte
+    cases = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+    assert len(cases) == 12
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_text_output_contains_table(capsys):
     code, out, err = run_cli(capsys, "height", "--field", "Q", "--poly", "2x-1")
     assert code == 0
@@ -196,3 +209,27 @@ def test_printed_enclosures_round_outward():
         assert lo <= q <= hi
         assert hi - lo <= abs(q) / 10 ** 10
     assert _interval_json(RealInterval.from_fraction(Fraction(4))) == ["4.0", "4.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ck-certify", "--base", "1"],
+    ["t2", "--k", "1", "--cap", "inf"],
+    ["verify", "--poly", "x^2-1", "--mk", "inf"],
+    ["ck-interval", "--field", "Q(sqrt(-2))", "--mk", "nan"],
+    ["ck-interval", "--field", "Q(sqrt(-2))", "--mk", "inf"],
+])
+def test_non_finite_and_constant_inputs_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli, "mahler_measure", broken)
+    code, out, err = run_cli(capsys, "mahler", "--poly", "x^3-x-1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == "" and "Traceback" in err
+    assert err.endswith("\ninternal error: ZeroDivisionError: planted\n")

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from polyheight import (embed, is_root_of_unity, make_field, quadratic_field,
-                        rationals, roots_of_unity)
+from polyheight import (embed, make_field, quadratic_field, rationals,
+                        roots_of_unity)
 from polyheight.intervals import working_precision
 
 from conftest import ALL_FIELDS, random_element
@@ -94,15 +94,6 @@ def test_embed_width_halves_under_doubling():
         assert w_hi <= w_lo / 2
 
 
-def test_root_of_unity_examples():
-    qi = quadratic_field(-1)
-    q3 = quadratic_field(-3)
-    assert is_root_of_unity(qi.element(0, 1))
-    assert is_root_of_unity(q3.element(F(1, 2), F(1, 2)))
-    assert not is_root_of_unity(rationals().element(2))
-    assert not is_root_of_unity(qi.element(0))
-
-
 def test_unity_count_in_box():
     # scan a bounded grid; exactly w elements satisfy x^w = 1
     for field in ALL_FIELDS.values():
@@ -112,7 +103,7 @@ def test_unity_count_in_box():
         for a in fracs:
             for b in bs:
                 x = field.element(a, b)
-                if not x.is_zero() and is_root_of_unity(x):
+                if not x.is_zero() and x ** field.unity_order == field.one():
                     found.add((x.a, x.b))
         assert len(found) == field.unity_order
         listed = {(z.a, z.b) for z in roots_of_unity(field)}

@@ -136,6 +136,11 @@ def test_count_unity_roots_examples():
     q = rationals()
     s2 = SplitPoly(q.one(), [q.element(2), q.element(F(1, 2))], q)
     assert count_unity_roots(s2) == 0
+    assert count_unity_roots(SplitPoly(qi.one(), [qi.element(0, 1)], qi)) == 1
+    q3 = quadratic_field(-3)
+    s3 = SplitPoly(q3.one(), [q3.element(F(1, 2), F(1, 2))], q3)
+    assert count_unity_roots(s3) == 1
+    assert count_unity_roots(SplitPoly(q.one(), [q.element(2)], q)) == 0
 
 
 def test_central_binomial_height_family():

@@ -2,8 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyheight import PolyOverK, SplitPoly, expand, int_to_poly, quadratic_field, rationals
+from polyheight import (PolyOverK, SplitPoly, check_alphabound1,
+                        check_alphabound2, check_bound1, check_bound2,
+                        check_complexmahler, count_unity_roots, height,
+                        int_to_poly, quadratic_field, rationals,
+                        roots_of_unity)
+from polyheight import polynomials
+from polyheight.cli import main
 from polyheight.polynomials import (has_unit_mahler, intpoly_content,
                                     intpoly_mul, intpoly_pow, intpoly_sum_abs,
                                     is_primitive_int)
@@ -14,13 +21,13 @@ from conftest import ALL_FIELDS, random_element
 def test_expand_examples():
     q = rationals()
     s = SplitPoly(q.one(), [q.element(1), q.element(-1)], q)
-    assert expand(s).rational_coeffs() == [F(-1), F(0), F(1)]
+    assert s.expand().rational_coeffs() == [F(-1), F(0), F(1)]
     q2 = quadratic_field(-2)
     quartet = [q2.element(1), q2.element(-1), q2.element(0, 1), q2.element(0, -1)]
     s2 = SplitPoly(q2.one(), quartet, q2)
-    assert expand(s2).rational_coeffs() == [F(-2), F(0), F(1), F(0), F(1)]
+    assert s2.expand().rational_coeffs() == [F(-2), F(0), F(1), F(0), F(1)]
     s3 = SplitPoly(q2.one(), quartet * 2, q2)
-    assert expand(s3).rational_coeffs() == [F(4), F(0), F(-4), F(0), F(-3), F(0), F(2), F(0), F(1)]
+    assert s3.expand().rational_coeffs() == [F(4), F(0), F(-4), F(0), F(-3), F(0), F(2), F(0), F(1)]
 
 
 def test_split_poly_rejects_zero_roots():
@@ -109,3 +116,50 @@ def test_has_unit_mahler():
 def test_poly_pow_matches_repeated_mul():
     f = int_to_poly([1, 2, 3])
     assert (f ** 3) == f * f * f
+
+
+def test_split_poly_expanded_once(monkeypatch, capsys):
+    calls = []
+    multiply_out = polynomials._multiply_out
+
+    def counting(lead, roots, field):
+        calls.append(len(roots))
+        return multiply_out(lead, roots, field)
+
+    monkeypatch.setattr(polynomials, "_multiply_out", counting)
+    q2 = quadratic_field(-2)
+    pair = [q2.element(1), q2.element(-1), q2.element(0, 1), q2.element(0, -1)]
+    s = SplitPoly(q2.one(), pair * 2, q2)       # x^8 + 2x^6 - 3x^4 - 4x^2 + 4
+    for check in (check_alphabound1, check_alphabound2, check_bound2,
+                  check_complexmahler):
+        check(s)
+    check_bound1(s, F(3, 2))
+    height(s)
+    assert calls == [8]
+    calls.clear()
+    assert main(["verify", "--field", "Q(sqrt(-2))",
+                 "--poly", "x^8+2x^6-3x^4-4x^2+4", "--all"]) == 0
+    capsys.readouterr()
+    assert calls == [8]
+
+
+@st.composite
+def split_polys(draw):
+    field = draw(st.sampled_from(list(ALL_FIELDS.values())))
+    coord = st.fractions(-3, 3, max_denominator=2)
+    sqrt_part = coord if field.degree == 2 else st.just(F(0))
+    element = st.builds(field.element, coord, sqrt_part).filter(lambda x: not x.is_zero())
+    root = st.one_of(element, st.sampled_from(roots_of_unity(field)))
+    return SplitPoly(draw(element), draw(st.lists(root, max_size=8)), field)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(split_polys())
+def test_split_poly_expansion_and_unity_count(s):
+    field = s.field
+    product = PolyOverK([s.lead], field)
+    for r in s.roots:
+        product = product * PolyOverK([-r, field.one()], field)
+    assert s.expand() == product
+    w = field.unity_order
+    assert count_unity_roots(s) == sum(1 for r in s.roots if r ** w == field.one())
