@@ -94,6 +94,15 @@ def test_embed_width_halves_under_doubling():
         assert w_hi <= w_lo / 2
 
 
+def test_root_of_unity_examples():
+    qi = quadratic_field(-1)
+    q3 = quadratic_field(-3)
+    assert qi.element(0, 1) in roots_of_unity(qi)
+    assert q3.element(F(1, 2), F(1, 2)) in roots_of_unity(q3)
+    assert rationals().element(2) not in roots_of_unity(rationals())
+    assert qi.element(0) not in roots_of_unity(qi)
+
+
 def test_unity_count_in_box():
     # scan a bounded grid; exactly w elements satisfy x^w = 1
     for field in ALL_FIELDS.values():
