@@ -17,7 +17,8 @@ from .analytic import check_complexmahler, mahler_measure, mahler_worker
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement
 from .heights import count_unity_roots, height, mk_alpha_exact
-from .intervals import DEFAULT_PREC, escalate, ri, working_precision
+from .intervals import (DEFAULT_PREC, escalate, mpf_to_fraction, ri,
+                        working_precision)
 from .numutil import cyclotomic_orders
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
                           is_primitive_int)
@@ -171,8 +172,9 @@ class MahlerFloor:
 
 @lru_cache(maxsize=1)
 def _nonreciprocal_floor() -> float:
-    # smallest measure among nonreciprocal minimal polynomials: x^3 - x - 1
-    return float(mahler_measure(int_to_poly([-1, -1, 0, 1])).lo)
+    # smallest measure among nonreciprocal minimal polynomials: x^3 - x - 1;
+    # its lower endpoint rounded down to 53 bits, so the float is exact
+    return float(mpf_to_fraction(mahler_measure(int_to_poly([-1, -1, 0, 1])).lo, 53))
 
 
 def _degree_formula_floor(degree: int) -> float:

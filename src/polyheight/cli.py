@@ -387,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:   # usage errors exit with EXIT_INPUT, --help with 0
         return exc.code
     if args.cmd == "verify" and not args.all and args.check is None:

@@ -1,11 +1,13 @@
 """Exact arithmetic in Q and quadratic fields Q(sqrt(D)).
 
-Elements are stored on the Q-basis {1, sqrt(D)} with reduced fractions;
-all operations are pure and exact.  Complex embeddings are returned as
-directed-rounded boxes at a requested precision.
+An element is stored as (p + q*sqrt(D)) / den with integers p, q and
+den in lowest terms, so arithmetic runs on integers and takes a gcd only
+when den != 1; all operations are pure and exact.  Complex embeddings
+are returned as directed-rounded boxes at a requested precision.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,10 +50,10 @@ class Field:
         return self.kind == "rationals" or self.D > 0
 
     def one(self) -> "FieldElement":
-        return FieldElement(1, 0, self)
+        return _reduced(1, 0, 1, self)
 
     def zero(self) -> "FieldElement":
-        return FieldElement(0, 0, self)
+        return _reduced(0, 0, 1, self)
 
     def element(self, a, b=0) -> "FieldElement":
         return FieldElement(a, b, self)
@@ -91,34 +93,52 @@ def make_field(spec: str | Field) -> Field:
 
 
 class FieldElement:
-    """a + b*sqrt(D), exact.  b is 0 over the rationals."""
+    """(p + q*sqrt(D)) / den with integers den > 0 and gcd(p, q, den) = 1,
+    so equal elements have equal coordinates; q is 0 over Q."""
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("p", "q", "den", "field")
 
     def __init__(self, a, b, field: Field):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-        self.field = field
-        if field.is_rational and self.b != 0:
+        a, b = Fraction(a), Fraction(b)
+        if field.is_rational and b != 0:
             raise ValueError("rational field elements have no sqrt part")
+        den = math.lcm(a.denominator, b.denominator)   # so gcd(p, q, den) = 1
+        self.p = a.numerator * (den // a.denominator)
+        self.q = b.numerator * (den // b.denominator)
+        self.den = den
+        self.field = field
+
+    @property
+    def a(self) -> Fraction:
+        """The rational coordinate p / den."""
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The sqrt(D) coordinate q / den."""
+        return Fraction(self.q, self.den)
 
     # -- basics ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
-            return self.a == other.a and self.b == other.b and self.field == other.field
+            return (self.p == other.p and self.q == other.q and self.den == other.den
+                    and self.field == other.field)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.q == 0 and self.p == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.field.D))
+        # a rational element hashes like its value, since it compares equal to it
+        if self.q == 0:
+            return hash(self.p) if self.den == 1 else hash(Fraction(self.p, self.den))
+        return hash((self.p, self.q, self.den, self.field.D))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -127,44 +147,49 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(other, 0, self.field)
+            return _reduced(other.numerator, 0, other.denominator, self.field)
         raise TypeError(f"cannot coerce {type(other)} into {self.field}")
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(self.a + o.a, self.b + o.b, self.field)
+        if self.den == o.den:
+            return _reduced(self.p + o.p, self.q + o.q, self.den, self.field)
+        return _reduced(self.p * o.den + o.p * self.den, self.q * o.den + o.q * self.den,
+                        self.den * o.den, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.a - o.a, self.b - o.b, self.field)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return FieldElement(-self.a, -self.b, self.field)
+        return _reduced(-self.p, -self.q, self.den, self.field)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        D = self.field.D or 0
-        return FieldElement(self.a * o.a + D * self.b * o.b,
-                            self.a * o.b + self.b * o.a, self.field)
+        p, q = self.p, self.q
+        pp = p * o.p if q == 0 or o.q == 0 else p * o.p + self.field.D * q * o.q
+        return _reduced(pp, p * o.q + q * o.p, self.den * o.den, self.field)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        if self.field.is_rational:
-            return FieldElement(1 / self.a, 0, self.field)
-        n = self.norm()
-        return FieldElement(self.a / n, -self.b / n, self.field)
+        if self.q == 0:   # den / p is in lowest terms
+            s = 1 if self.p > 0 else -1
+            return _reduced(s * self.den, 0, abs(self.p), self.field)
+        # 1/x = den * (p - q sqrt(D)) / (p^2 - D q^2)
+        n = self.scaled_norm()
+        s = 1 if n > 0 else -1
+        return _reduced(s * self.den * self.p, -s * self.den * self.q, abs(n), self.field)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -178,33 +203,31 @@ class FieldElement:
         return power(self, k, self.field.one())
 
     def conj(self) -> "FieldElement":
-        return FieldElement(self.a, -self.b, self.field)
+        return _reduced(self.p, -self.q, self.den, self.field)
+
+    def scaled_norm(self) -> int:
+        """den^d N(x) for a field of degree d: p^2 - D q^2, or p over Q."""
+        if self.field.is_rational:
+            return self.p
+        return self.p * self.p - self.field.D * self.q * self.q
 
     def norm(self) -> Fraction:
         """Field norm: a^2 - D b^2 (just the element itself over Q)."""
-        if self.field.is_rational:
-            return self.a
-        return self.a * self.a - self.field.D * self.b * self.b
+        return Fraction(self.scaled_norm(), self.den ** self.field.degree)
 
     def trace(self) -> Fraction:
-        if self.field.is_rational:
-            return self.a
-        return 2 * self.a
+        return Fraction(self.field.degree * self.p, self.den)
 
     def abs_norm(self) -> Fraction:
         return abs(self.norm())
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers O_K."""
-        if self.field.is_rational:
-            return self.a.denominator == 1
-        if self.a.denominator == 1 and self.b.denominator == 1:
+        if self.den == 1:
             return True
-        if not self.field.half_integer_basis:
-            return False
-        ta, tb = 2 * self.a, 2 * self.b
-        return (ta.denominator == 1 and tb.denominator == 1
-                and (ta.numerator - tb.numerator) % 2 == 0)
+        # (p + q sqrt(D))/2 with p, q odd, for D = 1 mod 4
+        return (self.den == 2 and self.field.half_integer_basis
+                and self.p % 2 == 1 and self.q % 2 == 1)
 
     # -- real-embedding signs (exact, D > 0 or rational) -----------------
 
@@ -212,7 +235,7 @@ class FieldElement:
         """Exact sign of the image under the first real embedding."""
         if self.field.is_imaginary:
             raise ValueError("no real embedding")
-        return surd_sign(self.a, self.b, self.field.D)
+        return surd_sign(self.p, self.q, self.field.D)
 
     # -- embeddings -------------------------------------------------------
 
@@ -234,13 +257,23 @@ class FieldElement:
         return f"FieldElement({self.a}, {self.b}, {self.field})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         D = self.field.D
-        if self.a == 0:
-            return f"{self.b}*sqrt({D})"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt({D})"
+        if a == 0:
+            return f"{b}*sqrt({D})"
+        sign = "+" if b > 0 else "-"
+        return f"{a} {sign} {abs(b)}*sqrt({D})"
+
+
+def _reduced(p: int, q: int, den: int, field: Field) -> FieldElement:
+    """(p + q sqrt(D)) / den for den > 0, in canonical form."""
+    if den != 1 and (g := math.gcd(p, q, den)) != 1:
+        p, q, den = p // g, q // g, den // g
+    x = object.__new__(FieldElement)
+    x.p, x.q, x.den, x.field = p, q, den, field
+    return x
 
 
 def embed(x: FieldElement, field: Field | None = None, prec: int = DEFAULT_PREC) -> list[ComplexBox]:

@@ -424,8 +424,7 @@ def recognize_split(f, field: Field, prec: int = DEFAULT_PREC,
         return SplitPoly(poly.lead, [], field)
     if poly.coeffs[0].is_zero():
         return None  # zero root
-    den = math.lcm(*(c.a.denominator for c in poly.coeffs),
-                   *(c.b.denominator for c in poly.coeffs))
+    den = math.lcm(*(c.den for c in poly.coeffs))
     scaled = poly.scale(field.element(den))
     lead_norm = scaled.lead.abs_norm()
     q = 2 * int(lead_norm)

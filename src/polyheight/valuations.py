@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .fields import Field, FieldElement
 from .intervals import DEFAULT_PREC, RealInterval, working_precision
@@ -44,7 +44,7 @@ class PrimeOfK:
         return f"<{self.kind} prime above {self.p}{tag}>"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _hensel_root(D: int, p: int, branch: int, level: int) -> int:
     """r with r^2 = D mod p^level, branch-consistent under lifting.
 
@@ -91,37 +91,29 @@ def split_prime(p: int, field: Field) -> list[PrimeOfK]:
             PrimeOfK(p, "split", p, 1, field.D)]
 
 
-def _rational_mod(q: Fraction, mod: int) -> int:
-    """q mod 'mod' for a rational with denominator coprime to mod."""
-    return q.numerator * pow(q.denominator, -1, mod) % mod
-
-
 def valuation(x: FieldElement, prime: PrimeOfK):
-    """ord_p(x); math.inf for x = 0."""
+    """ord_p(x); math.inf for x = 0.  For x = (u + w sqrt(D)) / den this
+    is ord_p(u + w sqrt(D)) - ord_p(den), computed on the integers."""
     if x.is_zero():
         return INFINITE
     p = prime.p
+    vden = vp(x.den, p)
     if prime.kind == "rational":
-        return vp(x.a, p)
+        return vp(x.p, p) - vden
     if prime.kind == "ramified":
-        return vp(x.norm(), p)
+        return vp(x.scaled_norm(), p) - 2 * vden
     if prime.kind == "inert":
-        v = vp(x.norm(), p)
+        v = vp(x.scaled_norm(), p)
         assert v % 2 == 0, "inert norm valuation must be even"
-        return v // 2
-    # split: embed via sqrt(D) -> Hensel root in Z_p
-    va = vp(x.a, p) if x.a != 0 else None
-    vb = vp(x.b, p) if x.b != 0 else None
-    m = min(v for v in (va, vb) if v is not None)
-    scale = Fraction(1, p) ** m
-    a, b = x.a * scale, x.b * scale
-    norm = a * a - prime.D * b * b
-    level = vp(norm, p) + 1
-    mod = p ** max(level, 3 if p == 2 else 1)
-    r = prime.lifted_root(max(level, 3 if p == 2 else 1))
-    t = (_rational_mod(a, mod) + _rational_mod(b, mod) * r) % mod
+        return v // 2 - vden
+    # split: strip p^m from (u, w), then embed sqrt(D) -> Hensel root in Z_p
+    u, w = x.p, x.q
+    m = min(vp(c, p) for c in (u, w) if c != 0)
+    u, w = u // p ** m, w // p ** m
+    level = max(vp(u * u - prime.D * w * w, p) + 1, 3 if p == 2 else 1)
+    t = (u + w * prime.lifted_root(level)) % p ** level
     assert t != 0, "Hensel level was provably sufficient"
-    return m + vp(t, p)
+    return m + vp(t, p) - vden
 
 
 def abs_at(x: FieldElement, prime: PrimeOfK) -> Fraction:
@@ -132,20 +124,15 @@ def abs_at(x: FieldElement, prime: PrimeOfK) -> Fraction:
     return Fraction(prime.residue_norm) ** (-v)
 
 
-def _coeff_list(f) -> Sequence[FieldElement]:
-    return f.coeffs if hasattr(f, "coeffs") else f
-
-
 def element_support(x: FieldElement, include_numerator: bool = True) -> set[int]:
     """Rational primes where x can have a nonzero valuation.
 
-    Negative valuations force p | den(a) or p | den(b); positive ones
-    force p | num(N(x)).
+    Negative valuations force p | den; positive ones force p | num(N(x)).
     """
-    primes = set(factorize(x.a.denominator)) | set(factorize(x.b.denominator))
+    primes = set(factorize(x.den))
     if include_numerator:
         n = x.norm()
-        if n.numerator != 0:
+        if n != 0:
             primes |= set(factorize(n.numerator))
     return primes
 
@@ -163,12 +150,10 @@ def nonarch_gauss_product(f, field: Field) -> Fraction:
     Exact; equals 1 for primitive integer-coefficient polynomials and
     1/N(content ideal) in general.
     """
-    coeffs = [c for c in _coeff_list(f) if not c.is_zero()]
+    coeffs = [c for c in getattr(f, "coeffs", f) if not c.is_zero()]
     if not coeffs:
         raise ValueError("zero polynomial has no Gauss norm")
-    support: set[int] = set()
-    for c in coeffs:
-        support |= element_support(c)
+    support = set().union(*map(element_support, coeffs))
     out = Fraction(1)
     for pr in primes_above(support, field):
         m = min(valuation(c, pr) for c in coeffs)
@@ -207,11 +192,8 @@ def product_formula_check(x: FieldElement, field: Field,
     """Verify prod_p |x|_p * prod_sigma |x|_sigma = 1 for x != 0."""
     if x.is_zero():
         raise ValueError("product formula applies to nonzero elements")
-    nonarch = Fraction(1)
-    for pr in primes_above(element_support(x), field):
-        v = valuation(x, pr)
-        if v:
-            nonarch *= Fraction(pr.residue_norm) ** (-v)
+    nonarch = math.prod((abs_at(x, pr) for pr in primes_above(element_support(x), field)),
+                        start=Fraction(1))
     with working_precision(prec):
         arch = RealInterval.from_fraction(1)
         for box in x.embeddings(prec):

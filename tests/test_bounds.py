@@ -7,7 +7,8 @@ from polyheight import (SplitPoly, alphabound2_root_factor, check_alphabound1,
                         check_alphabound2, check_bound1, check_bound2,
                         ck_interval, combined_bound_check, height,
                         mahler_floor, quadratic_field, rationals,
-                        roots_of_unity, t2_constant)
+                        mahler_measure, roots_of_unity, t2_constant)
+from polyheight.intervals import mpf_to_fraction
 from polyheight.polynomials import int_to_poly, intpoly_pow
 
 from conftest import ALL_FIELDS, random_split_poly
@@ -141,6 +142,11 @@ def test_mahler_floor_examples():
     assert f5.source == "nonreciprocal" and abs(f5.value - 1.32471795724) < 1e-9
     with pytest.raises(ValueError):
         mahler_floor(0)
+
+
+def test_nonreciprocal_floor_rounds_down():
+    m = mahler_measure(int_to_poly([-1, -1, 0, 1]))   # x^3 - x - 1
+    assert F(mahler_floor(3, reciprocal_allowed=False).value) <= mpf_to_fraction(m.lo)
 
 
 def test_t2_examples():

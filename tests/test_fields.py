@@ -119,6 +119,20 @@ def test_unity_count_in_box():
         assert found == listed
 
 
+def test_hash_agrees_with_eq(rng):
+    # an element equal to an int or a Fraction hashes like it, so sets
+    # and dicts find it under either key
+    for field in ALL_FIELDS.values():
+        for v in (0, 2, -7, F(3, 4), F(-5, 6)):
+            x = field.element(v)
+            assert x == v and hash(x) == hash(v)
+            assert v in {x} and x in {v}
+        for _ in range(50):
+            x = random_element(rng, field)
+            y = x * x / x
+            assert y == x and hash(y) == hash(x)
+
+
 def test_sign_sigma1():
     q5 = quadratic_field(5)
     assert q5.element(1, 1).sign_sigma1() == 1

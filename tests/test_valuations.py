@@ -6,7 +6,8 @@ import pytest
 from polyheight import (PolyOverK, int_to_poly, nonarch_gauss_product,
                         product_formula_check, quadratic_field, rationals,
                         split_prime, valuation)
-from polyheight.valuations import INFINITE, abs_at, element_support, primes_above
+from polyheight.valuations import (INFINITE, _hensel_root, abs_at, element_support,
+                                   primes_above)
 
 from conftest import ALL_FIELDS, random_element
 
@@ -61,6 +62,10 @@ def test_valuation_zero_is_infinite():
     assert valuation(qi.element(0), p2) == INFINITE
     assert valuation(qi.element(0), p2) == math.inf
     assert abs_at(qi.element(0), p2) == 0
+
+
+def test_hensel_root_cache_is_bounded():
+    assert _hensel_root.cache_info().maxsize is not None
 
 
 def test_valuation_additive(rng):
