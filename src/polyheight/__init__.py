@@ -12,15 +12,15 @@ from .bounds import (BoundCheck, CkInterval, MahlerFloor, T2Constant,
 from .exactreal import SqrtValue
 from .fields import (Field, FieldElement, embed, make_field, quadratic_field,
                      rationals, roots_of_unity)
+from .gauss_lattice import LatticeReport, is_coprime, lattice_case_check
 from .heights import (CharPoly, HeightReport, char_poly, count_unity_roots,
                       height, mk_alpha, mk_alpha_exact, mk_alpha_via_charpoly)
 from .intervals import DEFAULT_PREC, MAX_PREC, ComplexBox, RealInterval
 from .polynomials import PolyOverK, SplitPoly, int_to_poly
 from .rootfind import CertificationError, RootBox, complex_roots
-from .search import (Certificate, LatticeReport, MKResult, PellWitness,
-                     SampleCheck, ck_lower_certify, lattice_case_check,
-                     mk_direct_enumeration, mk_search, pell_counterexample,
-                     real_case_samples, recognize_split)
+from .search import (Certificate, MKResult, PellWitness, SampleCheck,
+                     ck_lower_certify, mk_direct_enumeration, mk_search,
+                     pell_counterexample, real_case_samples, recognize_split)
 from .valuations import (PrimeOfK, ProductFormulaReport, abs_at,
                          nonarch_gauss_product, product_formula_check,
                          split_prime, valuation)

@@ -29,12 +29,13 @@ from . import __version__
 from .analytic import check_complexmahler, mahler_measure
 from .bounds import (check_alphabound1, check_alphabound2, check_bound1,
                      check_bound2, ck_interval, t2_constant)
+from .gauss_lattice import lattice_case_check
 from .heights import height
 from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
                         RealInterval, check_precision, mpf_to_fraction)
 from .polyparse import ParseError, parse_field, parse_poly
-from .search import (ck_lower_certify, lattice_case_check, mk_search,
-                     pell_counterexample, recognize_split)
+from .search import (ck_lower_certify, mk_search, pell_counterexample,
+                     recognize_split)
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 SCHEMA_VERSION = 1

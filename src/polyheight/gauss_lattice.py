@@ -1,137 +1,105 @@
-"""Gaussian and Eisenstein integers: exact arithmetic and Euclidean gcd.
+"""Lattice scans: min |N(beta^w + gamma^w)| over coprime pairs of
+integers of Q(sqrt(-1)) (w = 4) and Q(sqrt(-3)) (w = 6).
 
-Both rings are norm-Euclidean, so gcd runs by rounded division.  Used
-for the lattice scans over coprime pairs.
+Elements are FieldElements.  Coprimality is read from norms, without a
+Euclidean gcd: for I = (beta, gamma), I * conj(I) = N(I) O_K is generated
+by N(beta), N(gamma), beta*conj(gamma) and its conjugate (Cohen, GTM 138,
+4.6 / 5.2), so N(I) is the gcd of the two norms and of the integral-basis
+coordinates of beta*conj(gamma).
 """
 from __future__ import annotations
 
-from .numutil import power
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .fields import Field, FieldElement
+
+_LATTICE_BUDGET = 2_500_000   # pairs scanned; about 10 s
 
 
-def _round_half(n: int, d: int) -> int:
-    """Nearest integer to n/d (ties toward +infinity), d > 0."""
-    return (2 * n + d) // (2 * d)
+@dataclass(frozen=True)
+class LatticeReport:
+    field: Field
+    box_radius: int
+    exponent: int
+    min_norm: int
+    attaining_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    unit_or_zero_hits: int   # pairs with beta^w + gamma^w in the excluded set
 
 
-class GaussInt:
-    """a + b*i with integer a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return isinstance(other, GaussInt) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a * other.a - self.b * other.b,
-                        self.a * other.b + self.b * other.a)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def conj(self) -> "GaussInt":
-        return GaussInt(self.a, -self.b)
-
-    def __pow__(self, k: int) -> "GaussInt":
-        return power(self, k, GaussInt(1, 0))
-
-    def divmod(self, other: "GaussInt") -> tuple["GaussInt", "GaussInt"]:
-        n = other.norm()
-        t = self * other.conj()
-        q = GaussInt(_round_half(t.a, n), _round_half(t.b, n))
-        return q, self - other * q
-
-    def canonical_associate(self) -> "GaussInt":
-        """Unit multiple in the quarter plane a > 0, b >= 0 (0 fixed)."""
-        z = self
-        if z.is_zero():
-            return z
-        for _ in range(4):
-            if z.a > 0 and z.b >= 0:
-                return z
-            z = GaussInt(-z.b, z.a)  # multiply by i
-        raise AssertionError("unit orbit exhausted")
-
-    def __repr__(self):
-        return f"GaussInt({self.a}, {self.b})"
+def _integral_norm(z: FieldElement) -> int:
+    return z.scaled_norm() // z.den ** z.field.degree
 
 
-class EisensteinInt:
-    """a + b*w with w a primitive cube root of unity (w^2 = -1 - w)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return (isinstance(other, EisensteinInt)
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b, "w"))
-
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        # (a + bw)(c + dw) = ac - bd + (ad + bc - bd) w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def conj(self) -> "EisensteinInt":
-        # conjugate of a + bw is a + b*w^2 = (a - b) - b*w
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def __pow__(self, k: int) -> "EisensteinInt":
-        return power(self, k, EisensteinInt(1, 0))
-
-    def divmod(self, other: "EisensteinInt") -> tuple["EisensteinInt", "EisensteinInt"]:
-        n = other.norm()
-        t = self * other.conj()
-        q = EisensteinInt(_round_half(t.a, n), _round_half(t.b, n))
-        return q, self - other * q
-
-    def __repr__(self):
-        return f"EisensteinInt({self.a}, {self.b})"
+def _basis_coords(z: FieldElement) -> tuple[int, int]:
+    """Coordinates of an integral z in the integral basis 1, (1 + sqrt(D))/2
+    when that is the basis, else 1, sqrt(D)."""
+    if z.field.half_integer_basis:
+        return (z.p - z.q) // z.den, 2 * z.q // z.den
+    return z.p, z.q
 
 
-def ring_gcd(x, y):
-    """Euclidean gcd in either lattice ring (up to units)."""
-    while not y.is_zero():
-        _, r = x.divmod(y)
-        x, y = y, r
-    return x
+def is_coprime(beta: FieldElement, gamma: FieldElement) -> bool:
+    """Whether the integral elements beta, gamma generate the unit ideal,
+    i.e. N((beta, gamma)) = 1."""
+    if not (beta.is_integral() and gamma.is_integral()):
+        raise ValueError("coprimality is defined for integral elements only")
+    g = math.gcd(_integral_norm(beta), _integral_norm(gamma))
+    return g == 1 or math.gcd(g, *_basis_coords(beta * gamma.conj())) == 1
 
 
-def is_coprime(x, y) -> bool:
-    return ring_gcd(x, y).norm() == 1
+def lattice_case_check(field: Field, box_radius: int) -> LatticeReport:
+    """Exhaustive scan of coprime nonzero pairs (beta, gamma) in a
+    coordinate box, minimizing |N(beta^w + gamma^w)|.
+
+    Supported fields: D = -1 (w = 4, beta = x + y i with x > 0, y >= 0,
+    one per unit class) and D = -3 (w = 6, beta = x + y (-1 + sqrt(-3))/2,
+    one per sign).  Pairs are reported by their box coordinates (x, y).
+    Also counts pairs landing in the excluded set ({0, 1} resp.
+    {-1, 0, 1}); the scans should find none.  A box of more than
+    2 500 000 pairs is rejected before anything is built.
+    """
+    if box_radius < 1:
+        raise ValueError("box radius must be positive")
+    r = box_radius
+    if field.D == -1:
+        w, m = 4, r * (r + 1)
+        excluded = {field.zero(), field.one()}
+    elif field.D == -3:
+        w, m = 6, 2 * r * (r + 1)
+        excluded = {field.zero(), field.one(), -field.one()}
+    else:
+        raise ValueError("lattice scan supports Q(sqrt(-1)) and Q(sqrt(-3)) only")
+    pairs = m * (m + 1) // 2   # m box elements, pairs taken with i <= j
+    if pairs > _LATTICE_BUDGET:
+        raise ValueError(f"radius {r} gives {pairs} pairs, over the budget of {_LATTICE_BUDGET}")
+    if w == 4:
+        elems = [((x, y), field.element(x, y))
+                 for x in range(1, r + 1) for y in range(0, r + 1)]
+    else:
+        omega = field.element(Fraction(-1, 2), Fraction(1, 2))
+        elems = [((x, y), x + y * omega)
+                 for x in range(-r, r + 1) for y in range(-r, r + 1)
+                 if x > 0 or (x == 0 and y > 0)]
+    powers = [(xy, z, z ** w) for xy, z in elems]
+    min_norm: int | None = None
+    attaining: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    hits = 0
+    for i, (bxy, beta, bw) in enumerate(powers):
+        for gxy, gamma, gw in powers[i:]:  # symmetric in (beta, gamma)
+            if not is_coprime(beta, gamma):
+                continue
+            v = bw + gw
+            if v in excluded:
+                hits += 1
+                continue
+            nv = _integral_norm(v)
+            if min_norm is None or nv < min_norm:
+                min_norm = nv
+                attaining = [(bxy, gxy)]
+            elif nv == min_norm:
+                attaining.append((bxy, gxy))
+    assert min_norm is not None
+    return LatticeReport(field, box_radius, w, min_norm,
+                         tuple(sorted(attaining)), hits)

@@ -1,9 +1,10 @@
 """Constructive searches: minimal local Mahler measures, power-family
-certificates for the growth constant, lattice case scans, real-case
-sampling, the Pell obstruction, and recognition of split polynomials.
+certificates for the growth constant, real-case sampling, the Pell
+obstruction, and recognition of split polynomials.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ import numpy as np
 from .analytic import MahlerValue
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, quadratic_field
-from .gauss_lattice import EisensteinInt, GaussInt, is_coprime
 from .heights import CharPoly, mk_alpha_exact
 from .intervals import DEFAULT_PREC, MAX_PREC, mpf_to_fraction
 from .numutil import is_perfect_square, is_squarefree
@@ -180,75 +180,6 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
 
 
 @dataclass(frozen=True)
-class LatticeReport:
-    field: Field
-    box_radius: int
-    exponent: int
-    min_norm: int
-    attaining_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    unit_or_zero_hits: int   # pairs with beta^w + gamma^w in the excluded set
-
-
-def _gauss_canonical_box(radius: int) -> list[GaussInt]:
-    return [GaussInt(a, b) for a in range(1, radius + 1) for b in range(0, radius + 1)]
-
-
-def _eisenstein_half_box(radius: int) -> list[EisensteinInt]:
-    out = []
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            if x > 0 or (x == 0 and y > 0):
-                out.append(EisensteinInt(x, y))
-    return out
-
-
-def lattice_case_check(field: Field, box_radius: int) -> LatticeReport:
-    """Exhaustive scan of coprime nonzero pairs (beta, gamma) in a
-    coordinate box, minimizing |N(beta^w + gamma^w)|.
-
-    Supported fields: D = -1 (w = 4, Gaussian integers, scanned up to
-    unit association) and D = -3 (w = 6, Eisenstein integers, scanned up
-    to sign).  Also counts pairs landing in the excluded set
-    ({0, 1} resp. {-1, 0, 1}); the scans should find none.
-    """
-    if box_radius < 1:
-        raise ValueError("box radius must be positive")
-    if field.D == -1:
-        w = 4
-        elems = _gauss_canonical_box(box_radius)
-        excluded = {(0, 0), (1, 0)}
-        unit_normal = lambda z: z.canonical_associate()
-    elif field.D == -3:
-        w = 6
-        elems = _eisenstein_half_box(box_radius)
-        excluded = {(0, 0), (1, 0), (-1, 0)}
-        unit_normal = None
-    else:
-        raise ValueError("lattice scan supports Q(sqrt(-1)) and Q(sqrt(-3)) only")
-    powers = [(z, z ** w) for z in elems]
-    min_norm: int | None = None
-    attaining: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    hits = 0
-    for i, (beta, bw) in enumerate(powers):
-        for gamma, gw in powers[i:]:  # symmetric in (beta, gamma)
-            if not is_coprime(beta, gamma):
-                continue
-            v = bw + gw
-            if (v.a, v.b) in excluded:
-                hits += 1
-                continue
-            nv = v.norm()
-            if min_norm is None or nv < min_norm:
-                min_norm = nv
-                attaining = [((beta.a, beta.b), (gamma.a, gamma.b))]
-            elif nv == min_norm:
-                attaining.append(((beta.a, beta.b), (gamma.a, gamma.b)))
-    assert min_norm is not None
-    return LatticeReport(field, box_radius, w, min_norm,
-                         tuple(sorted(attaining)), hits)
-
-
-@dataclass(frozen=True)
 class SampleCheck:
     alpha: FieldElement
     value: Fraction          # exact local product, exponent 2
@@ -377,8 +308,10 @@ def _is_real_quadratic(field: Field) -> bool:
 
 
 def _fast_candidates(f: PolyOverK, q: int) -> set[FieldElement] | None:
+    root_d = cmath.sqrt(f.field.D or 0)   # first embedding of sqrt(D)
+
     def double_roots(g: PolyOverK):
-        arr = np.array([complex(b.mid()) for b in g.embedded_coeffs(64, 0)], dtype=complex)
+        arr = np.array([c.p / c.den + c.q / c.den * root_d for c in g.coeffs], dtype=complex)
         return np.roots(arr[::-1]) if np.all(np.isfinite(arr)) else None
 
     try:

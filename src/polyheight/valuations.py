@@ -148,12 +148,17 @@ def nonarch_gauss_product(f, field: Field) -> Fraction:
     """prod_p |f|_p = prod_p max_i |a_i|_p over all primes of the field.
 
     Exact; equals 1 for primitive integer-coefficient polynomials and
-    1/N(content ideal) in general.
+    1/N(content ideal) in general.  A prime above p has min_i ord(a_i)
+    != 0 only if p divides the den of a non-integral a_i or the norm
+    numerator of every a_i, so only those numbers are factored.
     """
     coeffs = [c for c in getattr(f, "coeffs", f) if not c.is_zero()]
     if not coeffs:
         raise ValueError("zero polynomial has no Gauss norm")
-    support = set().union(*map(element_support, coeffs))
+    support = set(factorize(math.gcd(*(c.norm().numerator for c in coeffs))))
+    for c in coeffs:
+        if not c.is_integral():
+            support.update(factorize(c.den))
     out = Fraction(1)
     for pr in primes_above(support, field):
         m = min(valuation(c, pr) for c in coeffs)

@@ -126,6 +126,24 @@ def test_verify_golden_output(capsys):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_lattice_golden_output(capsys):
+    # lattice text and --json reports for D = -1 and -3 at radii 1 to 12
+    # print exactly the stored output: the same minimum, attaining pairs
+    # (box coordinates) and hit count, byte for byte
+    cases = json.loads((Path(__file__).parent / "data" / "lattice_golden.json").read_text())
+    assert len(cases) == 24
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_lattice_radius_over_budget_exits_3(capsys):
+    # rejected from the pair count, before a box of 10^12 elements is built
+    code, out, err = run_cli(capsys, "lattice", "--field", "Q(sqrt(-1))",
+                             "--radius", "1000000")
+    assert code == 3 and out == "" and "budget" in err
+
+
 def test_text_output_contains_table(capsys):
     code, out, err = run_cli(capsys, "height", "--field", "Q", "--poly", "2x-1")
     assert code == 0

@@ -8,60 +8,48 @@ import pytest
 
 from polyheight import (PolyOverK, SplitPoly, check_complexmahler,
                         ck_lower_certify, complex_roots, height, mahler_measure,
-                        quadratic_field, rationals, recognize_split,
-                        roots_of_unity, split_prime, valuation)
-from polyheight.gauss_lattice import (EisensteinInt, GaussInt, is_coprime,
-                                      ring_gcd)
+                        nonarch_gauss_product, quadratic_field, rationals,
+                        recognize_split, roots_of_unity, split_prime, valuation)
+from polyheight.gauss_lattice import is_coprime
 from polyheight.intervals import RealInterval, mpf_to_fraction, working_precision
 
 
-def test_gauss_ring_euclidean_property(rng):
-    for _ in range(300):
-        x = GaussInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        y = GaussInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        if y.is_zero():
-            continue
-        q, r = x.divmod(y)
-        assert x == y * q + r
-        assert r.norm() < y.norm()
+def _random_integer(K, rng, bound):
+    """x + y*theta with theta the second integral-basis element of K."""
+    x, y = rng.randint(-bound, bound), rng.randint(-bound, bound)
+    if K.half_integer_basis:   # theta = (1 + sqrt(D))/2
+        return K.element(x + F(y, 2), F(y, 2))
+    return K.element(x, y)
 
 
-def test_eisenstein_ring_euclidean_property(rng):
-    for _ in range(300):
-        x = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        y = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        if y.is_zero():
-            continue
-        q, r = x.divmod(y)
-        assert x == y * q + r
-        assert r.norm() < y.norm()
-
-
-def test_gcd_divides_both(rng):
-    for _ in range(100):
-        x = GaussInt(rng.randint(-30, 30), rng.randint(-30, 30))
-        y = GaussInt(rng.randint(-30, 30), rng.randint(-30, 30))
-        if x.is_zero() or y.is_zero():
-            continue
-        g = ring_gcd(x, y)
-        _, rx = x.divmod(g)
-        _, ry = y.divmod(g)
-        assert rx.is_zero() and ry.is_zero()
-
-
-def test_gauss_canonical_associate_unique():
-    seen = {}
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            z = GaussInt(a, b)
-            if z.is_zero():
+def test_is_coprime_matches_gauss_norm(rng):
+    # (beta, gamma) is the unit ideal exactly when the Gauss norm of the
+    # pair, prod_P max(|beta|_P, |gamma|_P) = 1 / N((beta, gamma)), is 1;
+    # Q(sqrt(-5)) has non-principal ideals such as (2, 1 + sqrt(-5))
+    for D in (-1, -3, -5, -7, 5, 17):
+        K = quadratic_field(D)
+        shared = 0
+        for _ in range(150):
+            beta, gamma = _random_integer(K, rng, 12), _random_integer(K, rng, 12)
+            if rng.random() < 0.4:   # a common factor, often a non-unit
+                delta = _random_integer(K, rng, 3)
+                beta, gamma = beta * delta, gamma * delta
+            if beta.is_zero() and gamma.is_zero():
                 continue
-            c = z.canonical_associate()
-            assert c.a > 0 and c.b >= 0
-            orbit = frozenset({(z.a, z.b), (-z.b, z.a), (-z.a, -z.b), (z.b, -z.a)})
-            if orbit in seen:
-                assert seen[orbit] == (c.a, c.b)
-            seen[orbit] = (c.a, c.b)
+            expected = nonarch_gauss_product([beta, gamma], K) == 1
+            assert is_coprime(beta, gamma) == expected, (beta, gamma)
+            shared += not expected
+        assert shared >= 30
+    K = quadratic_field(-5)
+    assert not is_coprime(K.element(2), K.element(1, 1))
+    # norms 6 and 9 share 3, but 3 splits and the two lie over different primes
+    assert is_coprime(K.element(1, 1), K.element(2, 1))
+
+
+def test_is_coprime_rejects_non_integral():
+    K = quadratic_field(-1)
+    with pytest.raises(ValueError):
+        is_coprime(K.element(F(1, 2)), K.one())
 
 
 def test_root_box_contains_true_algebraic_root():

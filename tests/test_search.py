@@ -145,6 +145,14 @@ def test_lattice_unsupported_field():
         lattice_case_check(quadratic_field(-1), 0)
 
 
+def test_lattice_pair_budget():
+    # the smallest radii over the budget: 47 over Q(i) gives 2256 elements,
+    # 2 545 896 pairs; 33 over Q(sqrt(-3)) 2244 elements, 2 518 890 pairs
+    for D, radius in ((-1, 47), (-3, 33), (-1, 10 ** 6)):
+        with pytest.raises(ValueError, match="budget"):
+            lattice_case_check(quadratic_field(D), radius)
+
+
 # -- real case ---------------------------------------------------------------
 
 def test_real_case_spec_values():

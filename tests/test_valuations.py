@@ -126,6 +126,45 @@ def test_gauss_multiplicativity(rng):
                     == nonarch_gauss_product(f, field) * nonarch_gauss_product(g, field))
 
 
+# a prime pi of norm p at a split prime p, per D
+_SPLIT_PI = {-1: (2, 1), -3: (2, 1), 5: (F(7, 2), F(1, 2)), -2: (1, 1),
+             -7: (F(1, 2), F(1, 2)), 17: (F(5, 2), F(1, 2))}
+_SPLIT_PI_NORM = {-1: 5, -3: 7, 5: 11, -2: 3, -7: 2, 17: 2}
+
+
+def _gauss_product_full_support(coeffs, field):
+    """prod_P max_i |a_i|_P over the primes of every den and every norm
+    numerator (the rule before the support was narrowed)."""
+    coeffs = [c for c in coeffs if not c.is_zero()]
+    out = F(1)
+    for pr in primes_above(set().union(*map(element_support, coeffs)), field):
+        out *= F(pr.residue_norm) ** -min(valuation(c, pr) for c in coeffs)
+    return out
+
+
+def test_gauss_support_matches_full_support(rng):
+    # only primes dividing the gcd of the norm numerators or the den of a
+    # non-integral coefficient are visited; pi / conj(pi) has norm 1 but
+    # valuations +1 and -1 at the two primes above a split p
+    fields = list(ALL_FIELDS.values()) + [quadratic_field(-7), quadratic_field(17)]
+    for field in fields:
+        specials = [field.element(6), field.element(F(5, 12))]
+        if field.degree == 2:
+            pi = field.element(*_SPLIT_PI[field.D])
+            assert pi.is_integral() and pi.abs_norm() == _SPLIT_PI_NORM[field.D]
+            specials += [pi, pi / pi.conj(), pi.conj() / pi, pi * pi, pi * pi / pi.conj()]
+        for _ in range(120):
+            coeffs = [random_element(rng, field, nonzero=False, num=12, den=6)
+                      * (rng.choice(specials) if rng.random() < 0.5 else 1)
+                      for _ in range(rng.randint(1, 5))]
+            coeffs.append(rng.choice(specials))
+            if rng.random() < 0.3:   # a common factor
+                shared = rng.choice(specials)
+                coeffs = [c * shared for c in coeffs]
+            assert (nonarch_gauss_product(coeffs, field)
+                    == _gauss_product_full_support(coeffs, field)), coeffs
+
+
 def test_product_formula_examples():
     q = rationals()
     r = product_formula_check(q.element(7), q)
