@@ -1,7 +1,7 @@
 """Mahler measures and archimedean Gauss-norm products.
 
 The Mahler measure |a| * prod max(1, |root|) is evaluated from certified
-root enclosures; a circle-integral cross-check is provided for tests.
+root enclosures.
 Each certified computation here is a worker that runs at one precision,
 escalated by ``intervals.escalate``.
 Archimedean Gauss norms over the supported fields are exact quadratic
@@ -9,11 +9,9 @@ surds (see exactreal), with interval views at any precision.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .exactreal import SqrtValue
 from .intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, escalate, ri,
@@ -92,21 +90,6 @@ def mahler_sigma1_exact_split(s: SplitPoly) -> SqrtValue:
         m = SqrtValue.abs_sigma1(r)
         acc = acc * (m if m.compare(one) > 0 else one)
     return acc
-
-
-def mahler_via_integral(coeffs: Sequence[int | float | Fraction], npoints: int = 4096) -> float:
-    """Low-precision circle-integral evaluation, for cross-checks only:
-    exp of the mean of log|f| over the unit circle.
-    """
-    cs = [float(c) for c in coeffs]
-    total = 0.0
-    for k in range(npoints):
-        z = cmath.exp(2j * math.pi * (k + 0.5) / npoints)
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        total += math.log(abs(acc))
-    return math.exp(total / npoints)
 
 
 def arch_gauss_exact(f: PolyOverK) -> SqrtValue:

@@ -215,9 +215,10 @@ _T2_BUDGET = 5_000_000
 
 
 def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
-    """Smallest certified Mahler-measure lower endpoint over all primitive
-    integer polynomials of degree <= k with coefficients bounded by the
-    binomial envelope, restricted to measures possibly in (1, cap]."""
+    """Smallest certified Mahler-measure lower endpoint, rounded down to a
+    float, over all primitive integer polynomials of degree <= k with
+    coefficients bounded by the binomial envelope, restricted to measures
+    possibly in (1, cap]."""
     best: float | None = None
     for n in range(1, k + 1):
         bound = [int(math.comb(n, i) * cap) for i in range(n + 1)]
@@ -238,9 +239,10 @@ def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
                     # unreachable; dropping it silently would be unsound
                     raise ArithmeticError(
                         f"cannot separate measure of {coeffs} from 1")
-                if float(m.lo) > float(cap):
+                if mpf_to_fraction(m.lo) > cap:
                     return
-                v = float(m.lo)
+                # rounded down, so the float stays below the certified endpoint
+                v = float(mpf_to_fraction(m.lo, 53))
                 if best is None or v < best:
                     best = v
                 return

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import MahlerValue, arch_gauss_exact, mahler_measure
+from .analytic import MahlerValue, arch_gauss_exact
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, roots_of_unity
-from .intervals import DEFAULT_PREC, MAX_PREC, RealInterval, working_precision
+from .intervals import DEFAULT_PREC, RealInterval, working_precision
 from .numutil import rational_sqrt
-from .polynomials import PolyOverK, SplitPoly, int_to_poly
+from .polynomials import PolyOverK, SplitPoly
 from .valuations import local_max_product, nonarch_gauss_product
 
 
@@ -138,17 +138,6 @@ def mk_alpha(alpha: FieldElement, field: Field | None = None,
     fld = field or alpha.field
     sv = mk_alpha_exact(alpha, fld)
     return MahlerValue(sv.to_interval(prec), fld.degree)
-
-
-def mk_alpha_via_charpoly(alpha: FieldElement, field: Field | None = None,
-                          prec: int = DEFAULT_PREC,
-                          max_prec: int = MAX_PREC) -> MahlerValue:
-    """Independent evaluation route: Mahler measure of the characteristic
-    polynomial (minimal polynomial raised to its power)."""
-    fld = field or alpha.field
-    cp = char_poly(alpha, fld)
-    m = mahler_measure(int_to_poly(cp.coeffs), prec=prec, max_prec=max_prec)
-    return MahlerValue(m.enclosure ** cp.power, fld.degree)
 
 
 def count_unity_roots(s: SplitPoly) -> int:

@@ -188,12 +188,6 @@ class RealInterval:
         o = other if isinstance(other, RealInterval) else RealInterval(self._coerce(other))
         return RealInterval.hull(max(self.lo, o.lo), max(self.hi, o.hi))
 
-    def intersect(self, other: "RealInterval") -> "RealInterval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return RealInterval.hull(lo, hi)
-
     def clamp_below(self, bound) -> "RealInterval":
         """Intersect with [bound, inf); bound must be a proven lower bound."""
         blo = RealInterval(self._coerce(bound)).lo
@@ -233,42 +227,8 @@ class ComplexBox:
     def mid(self) -> complex:
         return complex(self.re.mid, self.im.mid)
 
-    def mid_mpc(self) -> mpmath.mpc:
-        return mpmath.mpc(mpmath.mpf(self.re._v.mid), mpmath.mpf(self.im._v.mid))
-
-    def __add__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "ComplexBox") -> "ComplexBox":
-        den = other.re ** 2 + other.im ** 2
-        if den.lo <= 0:
-            raise ZeroDivisionError("divisor box touches zero")
-        return ComplexBox((self.re * other.re + self.im * other.im) / den,
-                          (self.im * other.re - self.re * other.im) / den)
-
-    def __neg__(self) -> "ComplexBox":
-        return ComplexBox(-self.re, -self.im)
-
     def __abs__(self) -> RealInterval:
         return (self.re ** 2 + self.im ** 2).sqrt()
-
-    def contains_interior(self, other: "ComplexBox") -> bool:
-        return (self.re.lo < other.re.lo and other.re.hi < self.re.hi
-                and self.im.lo < other.im.lo and other.im.hi < self.im.hi)
-
-    def disjoint(self, other: "ComplexBox") -> bool:
-        return (self.re.hi < other.re.lo or other.re.hi < self.re.lo
-                or self.im.hi < other.im.lo or other.im.hi < self.im.lo)
-
-    def intersect(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re.intersect(other.re), self.im.intersect(other.im))
 
     def __repr__(self) -> str:
         return f"ComplexBox({self.re!r}, {self.im!r})"

@@ -8,7 +8,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, rationals
-from .intervals import ComplexBox, DEFAULT_PREC
 from .numutil import cyclotomic_orders, power
 
 
@@ -113,9 +112,6 @@ class PolyOverK:
             raise ValueError("polynomial has irrational coefficients")
         return [c.a for c in self.coeffs]
 
-    def embedded_coeffs(self, prec: int = DEFAULT_PREC, embedding: int = 0) -> list[ComplexBox]:
-        return [c.embeddings(prec)[embedding] for c in self.coeffs]
-
     @staticmethod
     def gcd(f: "PolyOverK", g: "PolyOverK") -> "PolyOverK":
         """Monic gcd via the Euclidean algorithm."""
@@ -126,13 +122,22 @@ class PolyOverK:
         return a.monic()
 
     def squarefree_decomposition(self) -> list[tuple["PolyOverK", int]]:
-        """Yun decomposition: list of (squarefree factor, multiplicity).
+        """List of (squarefree factor, multiplicity) whose product of
+        factor^multiplicity equals the monic part of self.
 
-        The product of factor^multiplicity equals the monic part of self.
+        Rational input that is squarefree modulo a prime is returned as
+        one factor; anything else goes through Yun's algorithm.
         """
         f = self.monic()
         if f.degree == 0:
             return []
+        if _squarefree_mod_prime(f):
+            return [(f, 1)]
+        return f._yun()
+
+    def _yun(self) -> list[tuple["PolyOverK", int]]:
+        """Yun's decomposition of a monic polynomial of positive degree."""
+        f = self
         df = f.derivative()
         a = PolyOverK.gcd(f, df)
         if a.degree == 0:
@@ -185,6 +190,39 @@ class PolyOverK:
             else:
                 parts.append(f"{term}*x^{i}" if term != "1" else f"x^{i}")
         return " + ".join(parts)
+
+
+SQUAREFREE_PRIME = 2 ** 61 - 1
+
+
+def _squarefree_mod_prime(f: PolyOverK) -> bool:
+    """True when the monic f has rational coefficients whose denominators
+    the prime P = 2^61 - 1 does not divide and gcd(f mod P, f' mod P) = 1
+    in F_P[x].
+
+    That proves f squarefree over Q: a repeated factor g^2 of f has monic
+    g over Z localized at P, so g mod P, of the same degree, would divide
+    both f mod P and f' mod P.
+    """
+    P = SQUAREFREE_PRIME
+    if not all(c.q == 0 and c.den % P for c in f.coeffs):
+        return False
+    a = [c.p * pow(c.den, -1, P) % P for c in f.coeffs]
+    b = [k * c % P for k, c in enumerate(a)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:   # Euclid in F_P[x]: a, b = b, a mod b
+        inv, shift = pow(b[-1], -1, P), len(b) - 1
+        for i in range(len(a) - 1, shift - 1, -1):
+            q = a[i] * inv % P
+            if q:
+                for j, bj in enumerate(b):
+                    a[i - shift + j] = (a[i - shift + j] - q * bj) % P
+        r = a[:shift]
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r
+    return len(a) == 1
 
 
 def _multiply_out(lead: FieldElement, roots: Sequence[FieldElement],

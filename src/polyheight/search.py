@@ -113,27 +113,6 @@ def mk_search(field: Field, cap: float, prec: int = DEFAULT_PREC) -> MKResult:
                     tuple(witnesses), float(cap), True, best)
 
 
-def mk_direct_enumeration(field: Field, cap: float, num_bound: int = 6,
-                          den_bound: int = 3) -> list[tuple[FieldElement, SqrtValue]]:
-    """Independent oracle route: scan field elements a + b sqrt(D) with
-    bounded numerators/denominators and list those with measure in
-    (1, cap]."""
-    cap_frac = Fraction(cap)
-    fracs = sorted({Fraction(p, q) for q in range(1, den_bound + 1)
-                    for p in range(-num_bound, num_bound + 1)})
-    out = []
-    bs = fracs if field.degree == 2 else [Fraction(0)]
-    for a in fracs:
-        for bb in bs:
-            x = field.element(a, bb)
-            if x.is_zero():
-                continue
-            v = mk_alpha_exact(x, field)
-            if v.compare(1) > 0 and v.compare(cap_frac) <= 0:
-                out.append((x, v))
-    return out
-
-
 @dataclass(frozen=True)
 class Certificate:
     """A rigorous lower bound for the growth constant from one power of a

@@ -1,0 +1,65 @@
+"""Independent evaluation routes that the tests compare the library with.
+
+They are deliberately slow or low-precision and are not part of the
+package: a circle integral for Mahler measures, the characteristic
+polynomial for the local-maxima product, and a direct scan for the
+minimal measure.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from polyheight import Field, FieldElement, MahlerValue, SqrtValue, char_poly, int_to_poly
+from polyheight.analytic import mahler_measure
+from polyheight.heights import mk_alpha_exact
+from polyheight.intervals import DEFAULT_PREC, MAX_PREC
+
+
+def mahler_via_integral(coeffs: Sequence[int | float | Fraction], npoints: int = 4096) -> float:
+    """Low-precision circle-integral evaluation, for cross-checks only:
+    exp of the mean of log|f| over the unit circle.
+    """
+    cs = [float(c) for c in coeffs]
+    total = 0.0
+    for k in range(npoints):
+        z = cmath.exp(2j * math.pi * (k + 0.5) / npoints)
+        acc = 0j
+        for c in reversed(cs):
+            acc = acc * z + c
+        total += math.log(abs(acc))
+    return math.exp(total / npoints)
+
+
+def mk_alpha_via_charpoly(alpha: FieldElement, field: Field | None = None,
+                          prec: int = DEFAULT_PREC,
+                          max_prec: int = MAX_PREC) -> MahlerValue:
+    """Independent evaluation route: Mahler measure of the characteristic
+    polynomial (minimal polynomial raised to its power)."""
+    fld = field or alpha.field
+    cp = char_poly(alpha, fld)
+    m = mahler_measure(int_to_poly(cp.coeffs), prec=prec, max_prec=max_prec)
+    return MahlerValue(m.enclosure ** cp.power, fld.degree)
+
+
+def mk_direct_enumeration(field: Field, cap: float, num_bound: int = 6,
+                          den_bound: int = 3) -> list[tuple[FieldElement, SqrtValue]]:
+    """Independent oracle route: scan field elements a + b sqrt(D) with
+    bounded numerators/denominators and list those with measure in
+    (1, cap]."""
+    cap_frac = Fraction(cap)
+    fracs = sorted({Fraction(p, q) for q in range(1, den_bound + 1)
+                    for p in range(-num_bound, num_bound + 1)})
+    out = []
+    bs = fracs if field.degree == 2 else [Fraction(0)]
+    for a in fracs:
+        for bb in bs:
+            x = field.element(a, bb)
+            if x.is_zero():
+                continue
+            v = mk_alpha_exact(x, field)
+            if v.compare(1) > 0 and v.compare(cap_frac) <= 0:
+                out.append((x, v))
+    return out

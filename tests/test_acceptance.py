@@ -16,13 +16,14 @@ import pytest
 from polyheight import (check_alphabound1, check_alphabound2, check_bound1,
                         check_bound2, check_complexmahler, ck_interval,
                         ck_lower_certify, height, int_to_poly,
-                        lattice_case_check, mahler_measure,
-                        mk_direct_enumeration, mk_search, nonarch_gauss_product,
-                        pell_counterexample, product_formula_check,
-                        quadratic_field, rationals, t2_constant)
+                        lattice_case_check, mahler_measure, mk_search,
+                        nonarch_gauss_product, pell_counterexample,
+                        product_formula_check, quadratic_field, rationals,
+                        t2_constant)
 from polyheight.polynomials import PolyOverK, intpoly_pow
 
 from conftest import ALL_FIELDS, random_element, random_split_poly
+from oracles import mk_direct_enumeration
 
 RECORD_DEG10 = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
 PLASTIC_CUBIC = [-1, -1, 0, 1]

@@ -149,6 +149,18 @@ def test_nonreciprocal_floor_rounds_down():
     assert F(mahler_floor(3, reciprocal_allowed=False).value) <= mpf_to_fraction(m.lo)
 
 
+def test_t2_floor_rounds_down():
+    # the smallest measure of degree <= 3 is the plastic number
+    # 1.3247179572447460259..., M(x^3 - x - 1); the reported floor lies
+    # below its certified lower endpoint, not a rounding above it
+    t = t2_constant(3, 1.33)
+    m = mahler_measure(int_to_poly([-1, -1, 0, 1]))
+    assert t.floor_attained
+    assert F(t.M_floor) <= mpf_to_fraction(m.lo)
+    assert F(t.M_floor) < F("1.32471795724474602596")
+    assert t.M_floor == 1.3247179572447458
+
+
 def test_t2_examples():
     t = t2_constant(1, 2)
     assert t.w == 2 and t.M_floor == 2.0 and t.floor_attained

@@ -137,6 +137,27 @@ def test_lattice_golden_output(capsys):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_mahler_golden_output(capsys):
+    # mahler text and --json reports for dense polynomials of degree 10-32,
+    # products g*h^2, the Mignotte polynomials x^n - 2(ax - 1)^2 and a
+    # 2^-5000 cluster (exit 2) print exactly the stored output, and every
+    # printed enclosure contains the stored measure, which was computed
+    # from mpmath.polyroots at 400 digits
+    cases = json.loads((Path(__file__).parent / "data" / "mahler_golden.json").read_text())
+    assert len(cases) == 30
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+        if case["reference"] is None:
+            continue
+        if "--json" in case["argv"]:
+            lo, hi = json.loads(out)["results"]["mahler"]
+        else:
+            line = [t for t in out.splitlines() if t.split()[0] == "mahler"][0]
+            lo, hi = line.split(None, 1)[1].strip("[]").split(", ")
+        assert Fraction(lo) <= Fraction(case["reference"]) <= Fraction(hi), case["argv"]
+
+
 def test_lattice_radius_over_budget_exits_3(capsys):
     # rejected from the pair count, before a box of 10^12 elements is built
     code, out, err = run_cli(capsys, "lattice", "--field", "Q(sqrt(-1))",

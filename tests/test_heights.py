@@ -5,11 +5,11 @@ import pytest
 
 from polyheight import (PolyOverK, SplitPoly, char_poly, count_unity_roots,
                         height, int_to_poly, mk_alpha, mk_alpha_exact,
-                        mk_alpha_via_charpoly, quadratic_field, rationals,
-                        roots_of_unity)
+                        quadratic_field, rationals, roots_of_unity)
 from polyheight.polynomials import intpoly_pow
 
 from conftest import ALL_FIELDS, random_element, random_split_poly
+from oracles import mk_alpha_via_charpoly
 
 
 def test_height_examples():

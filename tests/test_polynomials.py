@@ -1,7 +1,10 @@
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from polyheight import (PolyOverK, SplitPoly, check_alphabound1,
@@ -78,6 +81,61 @@ def test_squarefree_decomposition():
     f3 = int_to_poly([-1, 1]) ** 5
     parts = f3.squarefree_decomposition()
     assert [(g.degree, m) for g, m in parts] == [(1, 5)]
+
+
+def test_squarefree_certificate_matches_yun():
+    # every integer polynomial of degree <= 4 with coefficients in [-2, 2]:
+    # the decomposition equals Yun's, whether or not the certificate mod P
+    # decided it
+    certified = repeated = 0
+    for n in range(1, 5):
+        for cs in itertools.product(range(-2, 3), repeat=n):
+            for lead in (-2, -1, 1, 2):
+                f = int_to_poly(list(cs) + [lead]).monic()
+                yun = f._yun()
+                assert f.squarefree_decomposition() == yun, cs + (lead,)
+                certified += polynomials._squarefree_mod_prime(f)
+                repeated += any(m > 1 for _, m in yun)
+    assert certified > 2000 and repeated > 100
+
+
+def test_squarefree_decomposition_matches_sympy():
+    # random products g1^e1 g2^e2 g3^e3 of degree <= 12 against sympy.sqf_list
+    rng = random.Random(20260)
+    x = sympy.Symbol("x")
+    for _ in range(150):
+        cs = [1]
+        for _ in range(rng.randint(1, 3)):
+            g = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)]
+            cs = intpoly_mul(cs, intpoly_pow(g, rng.randint(1, 3)))
+        if len(cs) > 13:
+            continue
+        got = {(tuple(g.rational_coeffs()), m) for g, m in int_to_poly(cs).squarefree_decomposition()}
+        _, parts = sympy.sqf_list(sum(c * x ** i for i, c in enumerate(cs)), x)
+        want = set()
+        for p, m in parts:
+            coeffs = [F(int(c)) for c in reversed(sympy.Poly(p, x).all_coeffs())]
+            if len(coeffs) > 1:
+                want.add((tuple(c / coeffs[-1] for c in coeffs), m))
+        assert got == want, cs
+
+
+def test_squarefree_prime_dividing_lead_falls_through(monkeypatch):
+    # P | lead: the reduction mod P drops the degree, so Yun decides
+    calls = []
+    yun = PolyOverK._yun
+
+    def recording(self):
+        calls.append(self)
+        return yun(self)
+
+    monkeypatch.setattr(PolyOverK, "_yun", recording)
+    P = polynomials.SQUAREFREE_PRIME
+    assert int_to_poly([1, 1, P]).squarefree_decomposition() == [(int_to_poly([F(1, P), F(1, P), 1]), 1)]
+    assert int_to_poly([1, 2 * P, P * P]).squarefree_decomposition() == [(int_to_poly([F(1, P), 1]), 2)]
+    assert len(calls) == 2
+    assert int_to_poly([1, 1, 1]).squarefree_decomposition() == [(int_to_poly([1, 1, 1]), 1)]
+    assert len(calls) == 2
 
 
 def test_squarefree_over_quadratic():

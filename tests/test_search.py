@@ -4,14 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from polyheight import (SplitPoly, ck_lower_certify, int_to_poly,
-                        lattice_case_check, mahler_measure,
-                        mk_direct_enumeration, mk_search, pell_counterexample,
-                        quadratic_field, rationals, real_case_samples,
-                        recognize_split)
+                        lattice_case_check, mahler_measure, mk_search,
+                        pell_counterexample, quadratic_field, rationals,
+                        real_case_samples, recognize_split)
 from polyheight.polynomials import intpoly_pow, intpoly_sum_abs
 from polyheight.search import _case1_product
 
 from conftest import ALL_FIELDS, random_split_poly
+from oracles import mk_direct_enumeration
 
 
 # -- mk_search ---------------------------------------------------------------
