@@ -21,7 +21,7 @@ from .intervals import (DEFAULT_PREC, escalate, mpf_to_fraction, ri,
                         working_precision)
 from .numutil import cyclotomic_orders
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
-                          is_primitive_int)
+                          intpoly_graeffe, is_primitive_int)
 from .valuations import local_max_product
 from .verdicts import (BoundCheck, interval_verdict, margin_of,
                        sign_verdict)
@@ -212,16 +212,43 @@ class T2Constant:
 
 _T2_MAX_DEGREE = 6
 _T2_BUDGET = 5_000_000
+_T2_GRAEFFE_STEPS = 5
+
+
+def _graeffe_limits(n: int, cap: Fraction) -> list[list[int]]:
+    """For e = 2^s, s = 1 .. _T2_GRAEFFE_STEPS, and cap = num/den, the
+    integers floor(C(n, i) num^e / den^e), i = 0 .. n."""
+    num, den = cap.numerator, cap.denominator
+    return [[math.comb(n, i) * num ** e // den ** e for i in range(n + 1)]
+            for e in (2 ** s for s in range(1, _T2_GRAEFFE_STEPS + 1))]
+
+
+def _above_cap(coeffs: list[int], limits: list[list[int]]) -> bool:
+    """True when a Graeffe iterate proves M(coeffs) > cap.
+
+    The s-th iterate g has M(g) = M^e with e = 2^s, and Mahler's
+    inequality gives M(g) >= |g_i| / C(n, i).  For an integer |g_i|,
+    |g_i| > floor(C(n, i) num^e / den^e) iff |g_i| den^e > C(n, i) num^e,
+    so then M^e > cap^e.
+    """
+    g = coeffs
+    for lims in limits:
+        g = intpoly_graeffe(g)
+        if any(abs(c) > t for c, t in zip(g, lims)):
+            return True
+    return False
 
 
 def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
     """Smallest certified Mahler-measure lower endpoint, rounded down to a
     float, over all primitive integer polynomials of degree <= k with
     coefficients bounded by the binomial envelope, restricted to measures
-    possibly in (1, cap]."""
+    possibly in (1, cap].  Candidates that a few integer Graeffe steps
+    prove to lie above the cap are skipped before any root isolation."""
     best: float | None = None
     for n in range(1, k + 1):
         bound = [int(math.comb(n, i) * cap) for i in range(n + 1)]
+        limits = _graeffe_limits(n, cap)
         ranges = [range(-bound[i], bound[i] + 1) for i in range(n)]
 
         def rec(i: int, current: list[int]):
@@ -230,7 +257,7 @@ def _enumerate_measures(k: int, cap: Fraction, prec: int) -> float | None:
                 coeffs = current[:]
                 if coeffs[0] == 0 or not is_primitive_int(coeffs):
                     return
-                if has_unit_mahler(coeffs):
+                if has_unit_mahler(coeffs) or _above_cap(coeffs, limits):
                     return
                 m = escalate(mahler_worker(coeffs), prec,
                              conclusive=lambda m: m.lo > 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement, rationals
-from .numutil import cyclotomic_orders, power
+from .numutil import power
 
 
 class PolyOverK:
@@ -288,45 +288,35 @@ def intpoly_content(a: Sequence[int]) -> int:
     return math.gcd(*a) if len(a) > 1 else abs(a[0])
 
 
-def intpoly_sum_abs(a: Sequence[int]) -> int:
-    return sum(abs(x) for x in a)
-
-
-def intpoly_max_abs(a: Sequence[int]) -> int:
-    return max(abs(x) for x in a)
-
-
 def is_primitive_int(a: Sequence[int]) -> bool:
     return intpoly_content(a) == 1
 
 
-def _rational_gcd_poly(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    a, b = f[:], g[:]
-    while any(b):
-        # monic remainder
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        r = a[:]
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            if i >= len(r) or r[i] == 0:
-                continue
-            fac = r[i] / b[-1]
-            for j in range(len(b)):
-                r[i - len(b) + 1 + j] -= fac * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    if not a:
-        return [Fraction(1)]
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
+def intpoly_graeffe(a: Sequence[int]) -> list[int]:
+    """One Graeffe root-squaring step: the g with g(x^2) = (-1)^n a(x) a(-x).
+
+    With a(x) = E(x^2) + x O(x^2) this is (-1)^n (E(y)^2 - y O(y)^2).  The
+    roots of g are the squares of those of a, so M(g) = M(a)^2, and g has
+    degree n and leading coefficient lead(a)^2.
+    """
+    n = len(a) - 1
+    even, odd = a[0::2], a[1::2]
+    g = intpoly_mul(even, even) + [0] * (n % 2)
+    if odd:
+        for i, c in enumerate(intpoly_mul(odd, odd), 1):
+            g[i] -= c
+    return [-c for c in g] if n % 2 else g
 
 
 def has_unit_mahler(coeffs: Sequence[int]) -> bool:
     """Kronecker test: the Mahler measure of an integer polynomial is 1
     iff it is +-x^a times a product of cyclotomic polynomials.
+
+    For |lead| = |f(0)| = 1 the Graeffe iterates g_k have measure
+    M(f)^(2^k), and Mahler's inequality |g_i| <= C(n, i) M(g) holds.  A
+    coefficient above its binomial proves M(f) > 1.  Otherwise the
+    iterates stay in a finite set and repeat, g_j = g_k with j < k,
+    which forces M(f)^(2^j) = M(f)^(2^k), so M(f) = 1.
     """
     cs = [int(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -340,31 +330,17 @@ def has_unit_mahler(coeffs: Sequence[int]) -> bool:
     while cs[a0] == 0:
         a0 += 1
     cs = cs[a0:]
+    if abs(cs[0]) != 1:
+        return False
     n = len(cs) - 1
-    if n == 0:
-        return True
-    big_n = math.lcm(*cyclotomic_orders(n))
-    f = [Fraction(c) for c in cs]
-    cyc = [Fraction(-1)] + [Fraction(0)] * (big_n - 1) + [Fraction(1)]  # x^N - 1
-    while len(f) > 1:
-        g = _rational_gcd_poly(f, cyc)
-        if len(g) == 1:
+    binomials = [math.comb(n, i) for i in range(n + 1)]
+    seen: set[tuple[int, ...]] = set()
+    g = tuple(cs)
+    while g not in seen:
+        if any(abs(c) > b for c, b in zip(g, binomials)):
             return False
-        # exact division f / g
-        q: list[Fraction] = [Fraction(0)] * (len(f) - len(g) + 1)
-        r = f[:]
-        for i in range(len(r) - 1, len(g) - 2, -1):
-            if r[i] == 0:
-                continue
-            fac = r[i] / g[-1]
-            q[i - len(g) + 1] = fac
-            for j in range(len(g)):
-                r[i - len(g) + 1 + j] -= fac * g[j]
-        if any(r):
-            return False
-        f = q
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
+        seen.add(g)
+        g = tuple(intpoly_graeffe(g))
     return True
 
 

@@ -19,8 +19,8 @@ from .fields import Field, FieldElement, quadratic_field
 from .heights import CharPoly, mk_alpha_exact
 from .intervals import DEFAULT_PREC, MAX_PREC, mpf_to_fraction
 from .numutil import is_perfect_square, is_squarefree
-from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_max_abs,
-                          intpoly_mul, intpoly_sum_abs, is_primitive_int)
+from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_mul,
+                          is_primitive_int)
 from .rootfind import complex_roots
 from .valuations import local_max_product
 
@@ -148,8 +148,8 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
     out: list[Certificate] = []
     g = base
     for j in range(1, j_max + 1):
-        s = intpoly_sum_abs(g)
-        h = intpoly_max_abs(g)
+        mags = list(map(abs, g))
+        s, h = sum(mags), max(mags)
         cert = (n * j) / math.log(s)
         trend = (n * j) / math.log(h) if h > 1 else math.inf
         out.append(Certificate(field, tuple(base), j, n * j, s, cert, trend))

@@ -1,7 +1,8 @@
 """Independent evaluation routes that the tests compare the library with.
 
 They are deliberately slow or low-precision and are not part of the
-package: a circle integral for Mahler measures, the characteristic
+package: a circle integral and mpmath.polyroots for Mahler measures,
+sympy's factorization for the Kronecker test, the characteristic
 polynomial for the local-maxima product, and a direct scan for the
 minimal measure.
 """
@@ -11,6 +12,9 @@ import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
+
+import mpmath
+import sympy
 
 from polyheight import Field, FieldElement, MahlerValue, SqrtValue, char_poly, int_to_poly
 from polyheight.analytic import mahler_measure
@@ -31,6 +35,34 @@ def mahler_via_integral(coeffs: Sequence[int | float | Fraction], npoints: int =
             acc = acc * z + c
         total += math.log(abs(acc))
     return math.exp(total / npoints)
+
+
+def mahler_via_polyroots(coeffs: Sequence[int], dps: int = 60) -> mpmath.mpf:
+    """M(f) = |lead| prod max(1, |root|) of an integer polynomial, from
+    mpmath.polyroots at dps digits on each factor of sympy's squarefree
+    decomposition, so that repeated roots do not stall the iteration."""
+    x = sympy.Symbol("x")
+    content, factors = sympy.Poly(list(coeffs)[::-1], x).sqf_list()
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(abs(int(content)))
+        for q, mult in factors:
+            cs = [int(c) for c in q.all_coeffs()]
+            roots = mpmath.polyroots(cs, maxsteps=200, extraprec=4 * dps)
+            mq = abs(cs[0]) * mpmath.fprod(max(1, abs(r)) for r in roots)
+            m *= mq ** mult
+        return +m
+
+
+def unit_mahler_via_factoring(coeffs: Sequence[int]) -> bool:
+    """The Kronecker test by sympy: content +-1 and every irreducible
+    factor x or cyclotomic (sympy.factor_list, Poly.is_cyclotomic)."""
+    x = sympy.Symbol("x")
+    cs = list(coeffs)
+    while cs[-1] == 0:
+        cs.pop()
+    content, factors = sympy.Poly(cs[::-1], x).factor_list()
+    return abs(content) == 1 and all(q == sympy.Poly(x, x) or q.is_cyclotomic
+                                     for q, _ in factors)
 
 
 def mk_alpha_via_charpoly(alpha: FieldElement, field: Field | None = None,

@@ -8,6 +8,7 @@ from polyheight import (SplitPoly, alphabound2_root_factor, check_alphabound1,
                         ck_interval, combined_bound_check, height,
                         mahler_floor, quadratic_field, rationals,
                         mahler_measure, roots_of_unity, t2_constant)
+from polyheight import bounds
 from polyheight.intervals import mpf_to_fraction
 from polyheight.polynomials import int_to_poly, intpoly_pow
 
@@ -194,3 +195,22 @@ def test_no_check_fails_on_random_split(rng):
             for c in (check_alphabound1(s), check_bound1(s, mk),
                       check_alphabound2(s), check_bound2(s)):
                 assert c.verdict == "holds", (field.descriptor(), c.name, s)
+
+
+def test_t2_cap_filter_isolates_only_survivors(monkeypatch):
+    # integer Graeffe steps prove every other candidate above the cap, so
+    # root isolation runs only on cubics whose measure is at most the cap
+    calls = []
+    worker = bounds.mahler_worker
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return worker(coeffs)
+
+    monkeypatch.setattr(bounds, "mahler_worker", counting)
+    t2_constant(3, 1.15)
+    assert calls == []
+    t2_constant(3, 1.5)
+    plastic = [(-1, -1, 0, 1), (1, -1, 0, 1), (-1, 0, 1, 1), (1, 0, -1, 1)]   # 1.3247...
+    next_up = [(-1, 0, -1, 1), (1, 0, 1, 1), (-1, 1, 0, 1), (1, 1, 0, 1)]     # 1.4656...
+    assert sorted(calls) == sorted(plastic + next_up)

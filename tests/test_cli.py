@@ -137,6 +137,17 @@ def test_lattice_golden_output(capsys):
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_t2_golden_output(capsys):
+    # t2 text and --json reports for k = 1, 2, 3 at caps 1.05 to 2 print
+    # exactly the stored output: the same w, floor, constant and
+    # floor_attained, byte for byte
+    cases = json.loads((Path(__file__).parent / "data" / "t2_golden.json").read_text())
+    assert len(cases) == 42
+    for case in cases:
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_mahler_golden_output(capsys):
     # mahler text and --json reports for dense polynomials of degree 10-32,
     # products g*h^2, the Mignotte polynomials x^n - 2(ax - 1)^2 and a

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -12,13 +13,14 @@ from polyheight import (PolyOverK, SplitPoly, check_alphabound1,
                         check_complexmahler, count_unity_roots, height,
                         int_to_poly, quadratic_field, rationals,
                         roots_of_unity)
-from polyheight import polynomials
+from polyheight import bounds, polynomials
 from polyheight.cli import main
 from polyheight.polynomials import (has_unit_mahler, intpoly_content,
-                                    intpoly_mul, intpoly_pow, intpoly_sum_abs,
+                                    intpoly_graeffe, intpoly_mul, intpoly_pow,
                                     is_primitive_int)
 
 from conftest import ALL_FIELDS, random_element
+from oracles import mahler_via_polyroots, unit_mahler_via_factoring
 
 
 def test_expand_examples():
@@ -152,7 +154,7 @@ def test_intpoly_helpers():
     assert sq == [1, 0, -2, 0, 1]
     m = 10
     pw = intpoly_pow([-1, 0, 1], m)
-    assert intpoly_sum_abs(pw) == 2 ** m
+    assert sum(map(abs, pw)) == 2 ** m
     assert max(abs(c) for c in pw) == math.comb(m, m // 2)
     assert intpoly_content([6, 9, 12]) == 3
     assert is_primitive_int([4, 0, -4, 0, -3, 0, 2, 0, 1])
@@ -169,6 +171,120 @@ def test_has_unit_mahler():
     assert not has_unit_mahler([-1, 2])        # 2x - 1 (lead 2)
     assert not has_unit_mahler([-1, -1, 0, 1])  # plastic-number cubic
     assert not has_unit_mahler([-1, -1, 1])    # golden ratio
+
+
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]   # measure 1.17628...
+
+
+def _cyclotomic(order: int) -> list[int]:
+    x = sympy.Symbol("x")
+    return [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(order, x), x).all_coeffs()[::-1]]
+
+
+def test_has_unit_mahler_matches_sympy_on_small_polys():
+    # every integer polynomial of degree <= 4 with coefficients in [-2, 2]
+    for cs in itertools.product(range(-2, 3), repeat=5):
+        if any(cs):
+            assert has_unit_mahler(cs) == unit_mahler_via_factoring(cs), cs
+
+
+def test_has_unit_mahler_high_degree(monkeypatch):
+    rng = random.Random(11)
+    orders = [m for m in range(1, 200) if sympy.totient(m) <= 20]
+    products = 0
+    while products < 25:
+        f = [1]
+        while len(f) - 1 < 20:
+            f = intpoly_mul(f, _cyclotomic(rng.choice(orders)))
+        if len(f) - 1 > 40:
+            continue
+        products += 1
+        sign, shift = rng.choice([-1, 1]), rng.randint(0, 2)
+        assert has_unit_mahler([0] * shift + [sign * c for c in f])
+        assert not has_unit_mahler(intpoly_mul(f, [-1, -1, 1]))    # times x^2 - x - 1
+    assert not has_unit_mahler(LEHMER)
+    assert not has_unit_mahler(intpoly_mul(LEHMER, _cyclotomic(7)))
+    # random monic polynomials with |f(0)| = 1 are decided within a few
+    # Graeffe steps
+    steps = []
+    graeffe = polynomials.intpoly_graeffe
+
+    def counting(a):
+        steps[-1] += 1
+        return graeffe(a)
+
+    monkeypatch.setattr(polynomials, "intpoly_graeffe", counting)
+    for _ in range(30):
+        n = rng.randint(10, 16)
+        f = [rng.choice([-1, 1])] + [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+        steps.append(0)
+        assert has_unit_mahler(f) == unit_mahler_via_factoring(f), f
+    assert max(steps) <= 8
+
+
+int_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=9).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(int_polys)
+def test_graeffe_step_identity(f):
+    # g(x^2) = (-1)^n f(x) f(-x)
+    n = len(f) - 1
+    g = intpoly_graeffe(f)
+    g_of_x2 = [0] * (2 * n + 1)
+    g_of_x2[::2] = g
+    f_of_minus_x = [c * (-1) ** i for i, c in enumerate(f)]
+    assert g_of_x2 == [(-1) ** n * c for c in intpoly_mul(f, f_of_minus_x)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(int_polys)
+def test_graeffe_bracket_below_measure_power(f):
+    # Mahler: max_i |g_i| / C(n, i) <= M(g) = M(f)^(2^k) for the k-th iterate
+    n = len(f) - 1
+    with mpmath.workdps(60):
+        m = mahler_via_polyroots(f)
+        slack = 1 + mpmath.mpf(10) ** -40
+        g = f
+        for k in range(6):
+            low = max(F(abs(c), math.comb(n, i)) for i, c in enumerate(g))
+            assert mpmath.mpf(low.numerator) / low.denominator <= m ** (2 ** k) * slack
+            g = intpoly_graeffe(g)
+
+
+@st.composite
+def exactly_measured_polys(draw):
+    """c * prod (x - r_j) * cyclotomic factors, degree <= 8, with its
+    measure |c| prod max(1, |r_j|)."""
+    lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    roots = draw(st.lists(st.integers(-3, 3), max_size=5))
+    cyclo = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]), max_size=(8 - len(roots)) // 2))
+    f = [lead]
+    for r in roots:
+        f = intpoly_mul(f, [-r, 1])
+    for order in cyclo:
+        f = intpoly_mul(f, _cyclotomic(order))
+    return f, abs(lead) * math.prod(max(1, abs(r)) for r in roots)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(exactly_measured_polys())
+def test_cap_filter_keeps_measure_at_cap(case):
+    f, m = case
+    n = len(f) - 1
+    assert not bounds._above_cap(f, bounds._graeffe_limits(n, F(m)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(int_polys, st.sampled_from([1.05, 1.15, 1.3, 1.5, 2.0, 2.5]))
+def test_cap_filter_skips_only_measures_above_cap(f, cap):
+    n = len(f) - 1
+    with mpmath.workdps(60):
+        m = mahler_via_polyroots(f)
+        just_above = F(int(mpmath.ceil(m * 10 ** 30)), 10 ** 30)
+        assert not bounds._above_cap(f, bounds._graeffe_limits(n, just_above))
+        if bounds._above_cap(f, bounds._graeffe_limits(n, F(cap))):
+            assert m > cap
 
 
 def test_poly_pow_matches_repeated_mul():
