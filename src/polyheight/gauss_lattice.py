@@ -1,11 +1,10 @@
 """Lattice scans: min |N(beta^w + gamma^w)| over coprime pairs of
 integers of Q(sqrt(-1)) (w = 4) and Q(sqrt(-3)) (w = 6).
 
-Elements are FieldElements.  Coprimality is read from norms, without a
-Euclidean gcd: for I = (beta, gamma), I * conj(I) = N(I) O_K is generated
-by N(beta), N(gamma), beta*conj(gamma) and its conjugate (Cohen, GTM 138,
-4.6 / 5.2), so N(I) is the gcd of the two norms and of the integral-basis
-coordinates of beta*conj(gamma).
+Elements are FieldElements.  Coprimality is read from the ideal norm
+N((beta, gamma)) (`valuations.ideal_norm`), without a Euclidean gcd; each
+element's norm is taken once, and the pair's ideal norm is needed only
+when the two norms share a factor.
 """
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldElement
+from .valuations import _integral_norm, ideal_norm
 
 _LATTICE_BUDGET = 2_500_000   # pairs scanned; about 10 s
 
@@ -28,25 +28,12 @@ class LatticeReport:
     unit_or_zero_hits: int   # pairs with beta^w + gamma^w in the excluded set
 
 
-def _integral_norm(z: FieldElement) -> int:
-    return z.scaled_norm() // z.den ** z.field.degree
-
-
-def _basis_coords(z: FieldElement) -> tuple[int, int]:
-    """Coordinates of an integral z in the integral basis 1, (1 + sqrt(D))/2
-    when that is the basis, else 1, sqrt(D)."""
-    if z.field.half_integer_basis:
-        return (z.p - z.q) // z.den, 2 * z.q // z.den
-    return z.p, z.q
-
-
 def is_coprime(beta: FieldElement, gamma: FieldElement) -> bool:
     """Whether the integral elements beta, gamma generate the unit ideal,
     i.e. N((beta, gamma)) = 1."""
     if not (beta.is_integral() and gamma.is_integral()):
         raise ValueError("coprimality is defined for integral elements only")
-    g = math.gcd(_integral_norm(beta), _integral_norm(gamma))
-    return g == 1 or math.gcd(g, *_basis_coords(beta * gamma.conj())) == 1
+    return ideal_norm([beta, gamma]) == 1
 
 
 def lattice_case_check(field: Field, box_radius: int) -> LatticeReport:
@@ -82,13 +69,13 @@ def lattice_case_check(field: Field, box_radius: int) -> LatticeReport:
         elems = [((x, y), x + y * omega)
                  for x in range(-r, r + 1) for y in range(-r, r + 1)
                  if x > 0 or (x == 0 and y > 0)]
-    powers = [(xy, z, z ** w) for xy, z in elems]
+    powers = [(xy, z, _integral_norm(z), z ** w) for xy, z in elems]
     min_norm: int | None = None
     attaining: list[tuple[tuple[int, int], tuple[int, int]]] = []
     hits = 0
-    for i, (bxy, beta, bw) in enumerate(powers):
-        for gxy, gamma, gw in powers[i:]:  # symmetric in (beta, gamma)
-            if not is_coprime(beta, gamma):
+    for i, (bxy, beta, bn, bw) in enumerate(powers):
+        for gxy, gamma, gn, gw in powers[i:]:  # symmetric in (beta, gamma)
+            if math.gcd(bn, gn) != 1 and not is_coprime(beta, gamma):
                 continue
             v = bw + gw
             if v in excluded:

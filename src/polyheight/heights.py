@@ -39,25 +39,14 @@ class HeightReport:
         return (SqrtValue.of_rational(self.nonarch) * self.arch_exact) ** k
 
 
-def _nonarch_of_split(s: SplitPoly) -> Fraction:
-    # Gauss's lemma: |f|_p = |lead|_p * prod max(1, |root|_p), and the
-    # full product of |lead|_p over p is 1/|N(lead)| by the product formula.
-    out = Fraction(1, 1) / s.lead.abs_norm()
-    for r in s.roots:
-        out *= local_max_product(r, s.field)
-    return out
-
-
 def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     """The height H(f), scale-invariant, with H(f) >= 1 always.
 
-    For split input the discrete part is computed from the roots via
-    Gauss's lemma; otherwise prime-by-prime from the coefficients.
+    The discrete part is 1 / N(content ideal) of the coefficients,
+    expanded first for split input.
     """
-    if isinstance(f, SplitPoly):
-        poly, nonarch = f.expand(), _nonarch_of_split(f)
-    else:
-        poly, nonarch = f, nonarch_gauss_product(f, f.field)
+    poly = f.expand() if isinstance(f, SplitPoly) else f
+    nonarch = nonarch_gauss_product(poly, poly.field)
     d = poly.field.degree
     arch_sv = arch_gauss_exact(poly)
     hd_sv = SqrtValue.of_rational(nonarch) * arch_sv

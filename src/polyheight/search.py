@@ -5,11 +5,12 @@ obstruction, and recognition of split polynomials.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,13 +19,20 @@ from .exactreal import SqrtValue
 from .fields import Field, FieldElement, quadratic_field
 from .heights import CharPoly, mk_alpha_exact
 from .intervals import DEFAULT_PREC, MAX_PREC, mpf_to_fraction
-from .numutil import is_perfect_square, is_squarefree
+from .numutil import is_perfect_square
 from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_mul,
                           is_primitive_int)
 from .rootfind import complex_roots
 from .valuations import local_max_product
 
 MK_SEARCH_MAX_CAP = 4.0
+# Python prints an int of at most 4300 digits (sys.get_int_max_str_digits),
+# so every integer a report prints stays below 10^4300.
+_MAX_PRINTED_DIGITS = 4300
+_PRINT_LIMIT = 10 ** _MAX_PRINTED_DIGITS
+# deg(base^jmax) for ck-certify: about T^2 / 2 coefficient products for
+# T = jmax * deg(base); T = 2048 at the digit cap takes about 5 s
+_CK_MAX_DEGREE = 2048
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,8 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
     """Certificates from base^j for j = 1..j_max, by exact convolution.
 
     The base must be primitive with all roots in the multiplicative
-    group of the field.
+    group of the field, j_max * deg(base) at most 2048, and every sum_abs
+    printable (below 10^4300).
     """
     if j_max < 1:
         raise ValueError("jmax must be at least 1")
@@ -142,9 +151,16 @@ def ck_lower_certify(base: Sequence[int], field: Field, j_max: int,
         raise ValueError("base polynomial must have degree at least 1")
     if not is_primitive_int(base):
         raise ValueError("base polynomial must be primitive")
+    n = len(base) - 1
+    if n * j_max > _CK_MAX_DEGREE:
+        raise ValueError(f"jmax * deg(base) = {n * j_max} exceeds the budget of {_CK_MAX_DEGREE}")
+    base_sum = sum(map(abs, base))   # sum_abs of base^j is at most base_sum^j
+    if (j_max * math.log10(base_sum) > _MAX_PRINTED_DIGITS
+            or base_sum ** j_max >= _PRINT_LIMIT):
+        raise ValueError(f"jmax * log10(sum |base|) exceeds the budget of "
+                         f"{_MAX_PRINTED_DIGITS} digits for sum_abs")
     if check_split and recognize_split(int_to_poly(base, field), field) is None:
         raise ValueError(f"base does not split over {field}")
-    n = len(base) - 1
     out: list[Certificate] = []
     g = base
     for j in range(1, j_max + 1):
@@ -202,18 +218,28 @@ class PellWitness:
 
 def _pell_fundamental(d: int) -> tuple[int, int]:
     """Smallest positive (x, y) with x^2 - d y^2 = 1, via the continued
-    fraction expansion of sqrt(d).  d must be a non-square above 1."""
+    fraction expansion of sqrt(d).  d must be a non-square above 1.
+
+    The n-th convergent h/k has h^2 - d k^2 = (-1)^(n+1) Q_(n+1), so the
+    test runs on the small Q.  The expansion stops once k d, the largest
+    integer a Pell report prints (the denominator of alpha), reaches
+    4300 digits."""
     a0 = math.isqrt(d)
-    m, den, a = 0, 1, a0
+    m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while h * h - d * k * k != 1:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
+    k_cap = -(-_PRINT_LIMIT // d)   # k d >= 10^4300 exactly when k >= k_cap
+    for n in itertools.count():
+        if k >= k_cap:
+            raise ValueError(f"the Pell solution for d = {d} has more than "
+                             f"{_MAX_PRINTED_DIGITS} digits")
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        if q == 1 and n % 2 == 1:
+            return h, k
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    return h, k
 
 
 def pell_counterexample(d: int) -> PellWitness:
@@ -223,12 +249,8 @@ def pell_counterexample(d: int) -> PellWitness:
     come from this quantity."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    if is_perfect_square(d):
-        raise ValueError(f"{d} is a perfect square")
-    if not is_squarefree(d):
-        raise ValueError(f"{d} is not squarefree")
+    field = quadratic_field(-d)   # squarefree, so not a square; |D| budget
     b, c = _pell_fundamental(d)
-    field = quadratic_field(-d)
     gamma = field.element(0, c)
     alpha = field.element(b) / gamma
     product = _case1_product(alpha, field)
@@ -240,8 +262,24 @@ def pell_counterexample(d: int) -> PellWitness:
 # split recognition
 # ---------------------------------------------------------------------------
 
-def _round_fraction(x: float, q: int) -> Fraction:
-    return Fraction(round(x * q), q)
+def _round_fraction(x: float, q: int, D: int = 1) -> Fraction:
+    """The point of the 1/q grid nearest x / sqrt(D), in doubles."""
+    return Fraction(round(x / math.sqrt(D) * q), q)
+
+
+def _round_exact(x: Fraction, q: int, D: int = 1) -> Fraction:
+    """The point of the 1/q grid nearest x / sqrt(D), exactly: with
+    t = |q x / sqrt(D)|, floor(t + 1/2) = (floor(2t) + 1) // 2, and
+    floor(2t) = isqrt(floor(4t^2))."""
+    t2 = 4 * q * q * x * x / D
+    k = (math.isqrt(t2.numerator // t2.denominator) + 1) // 2
+    return Fraction(k if x >= 0 else -k, q)
+
+
+class _Centre(NamedTuple):
+    """The exact centre of a certified root box."""
+    real: Fraction
+    imag: Fraction
 
 
 def _verify_candidates(f_scaled: PolyOverK, candidates: set[FieldElement],
@@ -266,19 +304,17 @@ def _verify_candidates(f_scaled: PolyOverK, candidates: set[FieldElement],
     return None
 
 
-def _candidates(field: Field, zs1, zs2, q: int) -> set[FieldElement]:
+def _candidates(field: Field, zs1, zs2, q: int, rnd) -> set[FieldElement]:
     """Field elements with coordinates of denominator q nearest to the
     approximate roots zs1 of f (first embedding) and, for real quadratic
-    fields, zs2 of its conjugate."""
+    fields, zs2 of its conjugate; rnd(x, q, D) is the point of the 1/q
+    grid nearest x / sqrt(D)."""
     if field.is_rational:
-        return {field.element(_round_fraction(z.real, q)) for z in zs1}
+        return {field.element(rnd(z.real, q)) for z in zs1}
     if field.is_imaginary:
-        rd = math.sqrt(-field.D)
-        return {field.element(_round_fraction(z.real, q), _round_fraction(z.imag / rd, q))
-                for z in zs1}
-    rd = math.sqrt(field.D)
-    return {field.element(_round_fraction((z1.real + z2.real) / 2, q),
-                          _round_fraction((z1.real - z2.real) / (2 * rd), q))
+        return {field.element(rnd(z.real, q), rnd(z.imag, q, -field.D)) for z in zs1}
+    return {field.element(rnd((z1.real + z2.real) / 2, q),
+                          rnd((z1.real - z2.real) / 2, q, field.D))
             for z1 in zs1 for z2 in zs2}
 
 
@@ -300,18 +336,22 @@ def _fast_candidates(f: PolyOverK, q: int) -> set[FieldElement] | None:
         return None
     if roots1 is None or roots2 is None:
         return None
-    return _candidates(f.field, roots1, roots2, q)
+    return _candidates(f.field, roots1, roots2, q, _round_fraction)
 
 
 def _certified_candidates(f: PolyOverK, q: int, prec: int,
                           max_prec: int) -> set[FieldElement]:
+    def mid(x) -> Fraction:
+        return (mpf_to_fraction(x.lo) + mpf_to_fraction(x.hi)) / 2
+
     def certified_roots(g: PolyOverK):
-        return [rb.box.mid() for rb in complex_roots(g, target_width=1 / (8 * q),
-                                                     prec=prec, max_prec=max_prec)]
+        return [_Centre(mid(rb.box.re), mid(rb.box.im))
+                for rb in complex_roots(g, target_width=Fraction(1, 8 * q), prec=prec,
+                                        max_prec=max_prec)]
 
     roots1 = certified_roots(f)
     roots2 = certified_roots(f.conj()) if _is_real_quadratic(f.field) else ()
-    return _candidates(f.field, roots1, roots2, q)
+    return _candidates(f.field, roots1, roots2, q, _round_exact)
 
 
 def recognize_split(f, field: Field, prec: int = DEFAULT_PREC,

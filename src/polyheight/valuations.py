@@ -1,8 +1,9 @@
-"""Prime splitting, p-adic valuations and discrete Gauss-norm products.
+"""Ideal norms, discrete Gauss-norm products and the p-adic API.
 
-Valuations at split primes embed K into Q_p via a Hensel-lifted square
-root of D; inert and ramified valuations reduce to the p-adic valuation
-of the field norm.  Everything here is exact rational arithmetic.
+Gauss-norm products and local maxima come from one ideal norm, computed
+from generators with no primes.  Valuations at split primes embed K into
+Q_p via a Hensel-lifted square root of D; inert and ramified valuations
+reduce to the p-adic valuation of the field norm.  All of it is exact.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement
 from .intervals import DEFAULT_PREC, RealInterval, working_precision
@@ -124,16 +125,15 @@ def abs_at(x: FieldElement, prime: PrimeOfK) -> Fraction:
     return Fraction(prime.residue_norm) ** (-v)
 
 
-def element_support(x: FieldElement, include_numerator: bool = True) -> set[int]:
+def element_support(x: FieldElement) -> set[int]:
     """Rational primes where x can have a nonzero valuation.
 
     Negative valuations force p | den; positive ones force p | num(N(x)).
     """
     primes = set(factorize(x.den))
-    if include_numerator:
-        n = x.norm()
-        if n != 0:
-            primes |= set(factorize(n.numerator))
+    n = x.norm()
+    if n != 0:
+        primes |= set(factorize(n.numerator))
     return primes
 
 
@@ -144,43 +144,54 @@ def primes_above(ps: Iterable[int], field: Field) -> list[PrimeOfK]:
     return out
 
 
-def nonarch_gauss_product(f, field: Field) -> Fraction:
-    """prod_p |f|_p = prod_p max_i |a_i|_p over all primes of the field.
+def _integral_norm(z: FieldElement) -> int:
+    """N(z) of an integral z, as an int."""
+    return z.scaled_norm() // z.den ** z.field.degree
 
-    Exact; equals 1 for primitive integer-coefficient polynomials and
-    1/N(content ideal) in general.  A prime above p has min_i ord(a_i)
-    != 0 only if p divides the den of a non-integral a_i or the norm
-    numerator of every a_i, so only those numbers are factored.
-    """
+
+def _basis_coords(z: FieldElement) -> tuple[int, int]:
+    """Coordinates of an integral z in the integral basis 1, (1 + sqrt(D))/2
+    when that is the basis, else 1, sqrt(D)."""
+    if z.field.half_integer_basis:
+        return (z.p - z.q) // z.den, 2 * z.q // z.den
+    return z.p, z.q
+
+
+def ideal_norm(gens: Sequence[FieldElement]) -> int:
+    """N(I) for the ideal I generated by the integral elements gens (0 for
+    the zero ideal): the gcd of the integral-basis coordinates of the
+    g_i conj(g_j), which generate I conj(I) = N(I) O_K (Cohen, GTM 138,
+    4.6 / 5.2).  The diagonal terms, the norms, come first; the gcd
+    usually reaches 1 on them.  Over Q it is the gcd of the generators."""
+    g = math.gcd(*map(_integral_norm, gens))
+    if g == 1 or gens[0].field.is_rational:
+        return g
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            g = math.gcd(g, *_basis_coords(x.conj() * y))
+            if g == 1:
+                return 1
+    return g
+
+
+def nonarch_gauss_product(f, field: Field) -> Fraction:
+    """prod_P |f|_P over all primes of the field, exact: by Gauss's lemma
+    and the product formula, 1 / N(content ideal of the a_i), that is
+    L^d / N((L a_0, ..., L a_n)) with L the lcm of their dens."""
     coeffs = [c for c in getattr(f, "coeffs", f) if not c.is_zero()]
     if not coeffs:
         raise ValueError("zero polynomial has no Gauss norm")
-    support = set(factorize(math.gcd(*(c.norm().numerator for c in coeffs))))
-    for c in coeffs:
-        if not c.is_integral():
-            support.update(factorize(c.den))
-    out = Fraction(1)
-    for pr in primes_above(support, field):
-        m = min(valuation(c, pr) for c in coeffs)
-        if m:
-            out *= Fraction(pr.residue_norm) ** (-m)
-    return out
+    L = math.lcm(*(c.den for c in coeffs))
+    return Fraction(L ** field.degree, ideal_norm([c * L for c in coeffs]))
 
 
 def local_max_product(x: FieldElement, field: Field, exponent: int = 1) -> Fraction:
-    """prod_p max(1, |x|_p^exponent), exact.
-
-    Only primes with negative valuation contribute, and those divide the
-    coordinate denominators.
-    """
-    if x.is_zero():
+    """prod_P max(1, |x|_P)^exponent, exact: the Gauss norm of (1, x) is
+    den^d / N((den, den x)), the norm of the denominator ideal of x."""
+    if x.is_integral():
         return Fraction(1)
-    out = Fraction(1)
-    for pr in primes_above(element_support(x, include_numerator=False), field):
-        v = valuation(x, pr)
-        if v < 0:
-            out *= Fraction(pr.residue_norm) ** (-v * exponent)
-    return out
+    den = field.element(x.den)
+    return Fraction(x.den ** field.degree, ideal_norm([den, x * den])) ** exponent
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 They are deliberately slow or low-precision and are not part of the
 package: a circle integral and mpmath.polyroots for Mahler measures,
 sympy's factorization for the Kronecker test, the characteristic
-polynomial for the local-maxima product, and a direct scan for the
-minimal measure.
+polynomial for the local-maxima product, a direct scan for the minimal
+measure, and prime-by-prime valuations for the discrete Gauss norms.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from polyheight import Field, FieldElement, MahlerValue, SqrtValue, char_poly, i
 from polyheight.analytic import mahler_measure
 from polyheight.heights import mk_alpha_exact
 from polyheight.intervals import DEFAULT_PREC, MAX_PREC
+from polyheight.numutil import factorize
+from polyheight.valuations import primes_above, valuation
 
 
 def mahler_via_integral(coeffs: Sequence[int | float | Fraction], npoints: int = 4096) -> float:
@@ -94,4 +96,35 @@ def mk_direct_enumeration(field: Field, cap: float, num_bound: int = 6,
             v = mk_alpha_exact(x, field)
             if v.compare(1) > 0 and v.compare(cap_frac) <= 0:
                 out.append((x, v))
+    return out
+
+
+def nonarch_gauss_by_primes(f, field: Field) -> Fraction:
+    """prod_P max_i |a_i|_P, prime by prime: a prime above p has
+    min_i ord(a_i) != 0 only if p divides the den of a non-integral a_i
+    or the norm numerator of every a_i, so only those are factored and
+    each prime above them is Hensel-lifted and valued."""
+    coeffs = [c for c in getattr(f, "coeffs", f) if not c.is_zero()]
+    support = set(factorize(math.gcd(*(c.norm().numerator for c in coeffs))))
+    for c in coeffs:
+        if not c.is_integral():
+            support.update(factorize(c.den))
+    out = Fraction(1)
+    for pr in primes_above(support, field):
+        m = min(valuation(c, pr) for c in coeffs)
+        if m:
+            out *= Fraction(pr.residue_norm) ** (-m)
+    return out
+
+
+def local_max_by_primes(x: FieldElement, field: Field, exponent: int = 1) -> Fraction:
+    """prod_P max(1, |x|_P^exponent) over the primes above the factors of
+    den, where every negative valuation lies."""
+    if x.is_zero():
+        return Fraction(1)
+    out = Fraction(1)
+    for pr in primes_above(factorize(x.den), field):
+        v = valuation(x, pr)
+        if v < 0:
+            out *= Fraction(pr.residue_norm) ** (-v * exponent)
     return out

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polyheight import cli
+from polyheight import cli, numutil, valuations
 from polyheight.cli import _interval_json, _interval_text, main
 from polyheight.intervals import RealInterval, working_precision
 
@@ -283,3 +283,54 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == "" and "Traceback" in err
     assert err.endswith("\ninternal error: ZeroDivisionError: planted\n")
+
+
+# nextprime(10^25) * nextprime(3 * 10^25), a 51-digit semiprime
+N = 300000000000000000000001060000000000000000000000871
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The numbers factored during a test; any p-adic valuation fails it."""
+    seen = []
+    real = numutil.factorize
+
+    def recording(n):
+        seen.append(abs(n))
+        return real(n)
+
+    def no_valuation(*args):
+        raise AssertionError("valuation called")
+
+    monkeypatch.setattr(numutil, "factorize", recording)
+    monkeypatch.setattr(valuations, "valuation", no_valuation)
+    return seen
+
+
+def test_semiprime_denominators_need_no_factoring(capsys, factored):
+    # the non-archimedean parts are ideal norms: N is never factored, and
+    # only the field's |D| is (by the squarefree test)
+    code, rep, _ = run_json(capsys, "height", "--field", "Q", "--poly", f"x^2+1/{N}")
+    assert code == 0 and rep["results"]["nonarch"] == rep["results"]["exact"] == str(N)
+    code, rep, _ = run_json(capsys, "verify", "--field", "Q", "--poly", f"x-1/{N}")
+    assert code == 0 and rep["verdicts"] == ["holds"] * 5
+    for field, poly in (("Q(sqrt(-1))", f"x^2+(1/{N}sqrt(-1))"),
+                        ("Q(sqrt(5))", f"x^3+(1/{N}+3/{N}sqrt(5))")):
+        code, rep, _ = run_json(capsys, "height", "--field", field, "--poly", poly)
+        assert code == 0 and rep["results"]["exact"] == str(N)
+    code, rep, _ = run_json(capsys, "pell", "--d", "100003")
+    assert code == 0 and rep["results"]["obstruction"] is True
+    assert set(factored) <= {1, 5, 100003}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ck-certify", "--base", "x^2-1", "--jmax", "100000"], "jmax * deg(base)"),
+    (["ck-certify", "--base", "x+99999", "--jmax", "1000"], "4300 digits"),
+    (["pell", "--d", "10000000019"], "4300 digits"),
+    (["pell", "--d", str(N)], "budget of 10^18"),
+    (["height", "--field", f"Q(sqrt({N}))", "--poly", "x"], "budget of 10^18"),
+    (["mk", "--field", f"Q(sqrt(-{N}))"], "budget of 10^18"),
+])
+def test_budgets_exit_3(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and message in err and out == ""

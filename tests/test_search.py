@@ -94,6 +94,19 @@ def test_certificate_errors():
         ck_lower_certify([-2, 0, 1, 0, 1], quadratic_field(-1), 2)  # wrong field
 
 
+def test_certificate_budgets():
+    q, q2 = rationals(), quadratic_field(-2)
+    assert len(ck_lower_certify([-2, 0, 1, 0, 1], q2, 256, check_split=False)) == 256
+    with pytest.raises(ValueError, match="jmax \\* deg"):
+        ck_lower_certify([-1, 0, 1], q, 1025)          # degree 2050
+    # sum |base| = 10^1075: sum_abs of the j-th power is exactly 10^(1075 j),
+    # which prints for j = 3 and would not for j = 4
+    base = [10 ** 1075 - 1, 1]
+    assert ck_lower_certify(base, q, 3)[-1].sum_abs == 10 ** 3225
+    with pytest.raises(ValueError, match="4300 digits"):
+        ck_lower_certify(base, q, 4)
+
+
 def test_certificate_soundness_invariant():
     # (nj)/log(S_j) >= n/log(S_1) is S_1^j >= S_j as exact integers
     q2 = quadratic_field(-2)
@@ -207,6 +220,18 @@ def test_pell_errors():
         pell_counterexample(1)
 
 
+def test_pell_budgets():
+    # the continued fraction stops at a 4300-digit solution, and d must be
+    # within the |D| budget of the field Q(sqrt(-d))
+    for d in (1000000007, 10000000019):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            pell_counterexample(d)
+    with pytest.raises(ValueError, match="budget"):
+        pell_counterexample(10 ** 18 + 1)
+    w = pell_counterexample(100003)   # a 174-digit solution
+    assert w.b * w.b - 100003 * w.c * w.c == 1 and w.product == 1
+
+
 # -- recognize_split ----------------------------------------------------------
 
 def test_recognize_split_examples():
@@ -247,6 +272,22 @@ def test_recognize_split_half_integer_roots():
     sp2 = SplitPoly(q3.element(2, 1), [zeta, zeta ** 5, q3.element(-2)], q3)
     rec2 = recognize_split(sp2.expand(), q3)
     assert rec2 == sp2
+
+
+def test_recognize_split_large_denominators():
+    # with 17-digit denominators the grid 1/q has q = 2|N(lead)| near 10^35,
+    # beyond double precision; candidates come from exact box centres
+    M = 100000000000000003
+    for D in (-1, -3, 5):
+        K = quadratic_field(D)
+        r = K.one() / (M * K.element(0, 1))     # 1 / (M sqrt(D))
+        s = SplitPoly(K.one(), [r], K)
+        assert recognize_split(s.expand(), K) == s
+    for D in (-1, 5, -7):
+        K = quadratic_field(D)
+        s = SplitPoly(K.element(3), [K.element(0, F(1, M * D)),
+                                     K.element(F(1, M), F(2, M * D))], K)
+        assert recognize_split(s.expand(), K) == s
 
 
 def test_recognize_split_roundtrip(rng):

@@ -1,5 +1,6 @@
-"""The benchmark's layer tracer imports polyheight.<layer> for each name
-in its LAYERS; every such module must exist."""
+"""Source-level checks: the benchmark's layer tracer imports
+polyheight.<layer> for each name in its LAYERS, so every such module must
+exist; and the height, bound and search modules use no prime-by-prime API."""
 import ast
 import importlib
 from pathlib import Path
@@ -20,3 +21,19 @@ def test_traced_layers_are_modules():
     assert "gauss_lattice" in layers
     for name in layers:
         importlib.import_module(f"polyheight.{name}")
+
+
+PRIME_FREE = ("heights", "bounds", "search", "gauss_lattice")
+PRIME_API = {"factorize", "valuation", "primes_above", "element_support", "split_prime"}
+
+
+def test_heights_bounds_and_searches_use_no_primes():
+    # their non-archimedean quantities come from valuations.ideal_norm;
+    # the prime-by-prime API stays out of them
+    src = Path(__file__).resolve().parent.parent / "src" / "polyheight"
+    for name in PRIME_FREE:
+        tree = ast.parse((src / f"{name}.py").read_text())
+        used = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not used & PRIME_API, (name, used & PRIME_API)

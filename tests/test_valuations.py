@@ -2,14 +2,16 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyheight import (PolyOverK, int_to_poly, nonarch_gauss_product,
                         product_formula_check, quadratic_field, rationals,
                         split_prime, valuation)
 from polyheight.valuations import (INFINITE, _hensel_root, abs_at, element_support,
-                                   primes_above)
+                                   ideal_norm, local_max_product, primes_above)
 
 from conftest import ALL_FIELDS, random_element
+from oracles import local_max_by_primes, nonarch_gauss_by_primes
 
 
 def test_split_prime_examples():
@@ -134,7 +136,7 @@ _SPLIT_PI_NORM = {-1: 5, -3: 7, 5: 11, -2: 3, -7: 2, 17: 2}
 
 def _gauss_product_full_support(coeffs, field):
     """prod_P max_i |a_i|_P over the primes of every den and every norm
-    numerator (the rule before the support was narrowed)."""
+    numerator."""
     coeffs = [c for c in coeffs if not c.is_zero()]
     out = F(1)
     for pr in primes_above(set().union(*map(element_support, coeffs)), field):
@@ -163,6 +165,73 @@ def test_gauss_support_matches_full_support(rng):
                 coeffs = [c * shared for c in coeffs]
             assert (nonarch_gauss_product(coeffs, field)
                     == _gauss_product_full_support(coeffs, field)), coeffs
+
+
+def test_ideal_norm_examples():
+    assert ideal_norm([rationals().element(-12), rationals().element(18)]) == 6
+    qi = quadratic_field(-1)
+    # (2 + i) and (2 - i) lie over the two primes above 5: norms share 5, the ideal is (1)
+    assert ideal_norm([qi.element(2, 1), qi.element(2, -1)]) == 1
+    assert ideal_norm([qi.element(2, 1), qi.element(5)]) == 5
+    q5 = quadratic_field(-5)
+    assert ideal_norm([q5.element(2), q5.element(1, 1)]) == 2    # not principal
+    q3 = quadratic_field(-3)
+    assert ideal_norm([q3.element(2), q3.element(1, 1)]) == 4    # (1 + sqrt(-3))/2 is a unit
+    assert ideal_norm([q3.element(F(1, 2), F(3, 2)), q3.zero()]) == 7
+    assert ideal_norm([qi.zero(), qi.zero()]) == 0
+
+
+# 2 splits in Q(sqrt(-7)) and Q(sqrt(17)), is inert in Q(sqrt(-3)) and
+# Q(sqrt(5)) and ramifies in the others; D = 1 mod 4 for -3, -7, -15, 5, 17;
+# Q(sqrt(-5)), Q(sqrt(-15)) and Q(sqrt(10)) have non-principal primes
+ORACLE_FIELDS = [rationals()] + [quadratic_field(D) for D in (-1, -2, -3, -5, -7, -15,
+                                                             2, 5, 10, 17)]
+
+
+def _theta(K):
+    """The second integral-basis element and its minimal polynomial x^2 + b x + c."""
+    if K.half_integer_basis:
+        return K.element(F(1, 2), F(1, 2)), -1, -(K.D - 1) // 4
+    return K.element(0, 1), 0, -K.D
+
+
+def _primes_above(K, p):
+    """Generators of each prime ideal above p: (p, theta - r) for every root r
+    of theta's minimal polynomial mod p, or (p) when there is none."""
+    if K.is_rational:
+        return [[K.element(p)]]
+    theta, b, c = _theta(K)
+    roots = [r for r in range(p) if (r * r + b * r + c) % p == 0]
+    return [[K.element(p), theta - r] for r in roots] or [[K.element(p)]]
+
+
+@st.composite
+def contents(draw):
+    """A field, coefficients whose content is a product of up to three
+    prime ideals (split, inert or ramified) times small integral elements
+    over small denominators, and the ratio of two of them."""
+    K = draw(st.sampled_from(ORACLE_FIELDS))
+    gens = [K.one()]
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=3)):
+        ideal = draw(st.sampled_from(_primes_above(K, p)))
+        gens = [g * h for g in gens for h in ideal]   # generators of the product
+    small = st.integers(-6, 6)
+    coeffs = []
+    for g in gens:
+        x = K.element(draw(small), draw(small) if K.degree == 2 else 0)
+        x = x * _theta(K)[0] if K.degree == 2 and draw(st.booleans()) else x
+        coeffs.append(g * (x if x else K.one()) / draw(st.integers(1, 12)))
+    ratio = coeffs[0] / coeffs[-1]
+    return K, coeffs, ratio
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(contents())
+def test_ideal_norm_route_matches_primes(case):
+    K, coeffs, x = case
+    assert nonarch_gauss_product(coeffs, K) == nonarch_gauss_by_primes(coeffs, K)
+    for e in (1, 2, K.unity_order):
+        assert local_max_product(x, K, e) == local_max_by_primes(x, K, e)
 
 
 def test_product_formula_examples():
