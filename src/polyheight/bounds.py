@@ -5,9 +5,13 @@ local-product bound (alphabound1), the minimal-measure bound (bound1),
 the twisted per-root bound with exponent w (alphabound2), and the
 unity-root counting bound (bound2).  All four are decided exactly; the
 reported lhs/rhs enclosures show the inequality in its displayed form.
+Each check takes a ``SplitPoly`` or its ``SplitRecord``; given the record,
+it reads the height and the unity-root count from it instead of
+computing them again.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +20,7 @@ from functools import lru_cache
 from .analytic import check_complexmahler, mahler_measure, mahler_worker
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement
-from .heights import count_unity_roots, height, mk_alpha_exact
+from .heights import SplitRecord, height, mk_alpha_exact, split_record
 from .intervals import (DEFAULT_PREC, escalate, mpf_to_fraction, ri,
                         working_precision)
 from .numutil import cyclotomic_orders
@@ -48,23 +52,31 @@ def alphabound2_root_factor(alpha: FieldElement, field: Field) -> Fraction:
     return nonarch * (field.one() + alpha ** w).abs_norm()
 
 
+def _distinct_roots(s: SplitPoly):
+    """(root, multiplicity) pairs; SplitPoly sorts its roots, so equal
+    roots are adjacent."""
+    return ((r, sum(1 for _ in g)) for r, g in itertools.groupby(s.roots))
+
+
 def _report(name: str, lhs_sv: SqrtValue, rhs_sv: SqrtValue, prec: int) -> BoundCheck:
     lhs_iv, rhs_iv = lhs_sv.to_interval(prec), rhs_sv.to_interval(prec)
     return BoundCheck(name, lhs_iv, rhs_iv, sign_verdict(lhs_sv.compare(rhs_sv)),
                       margin_of(lhs_iv, rhs_iv), exact=True)
 
 
-def check_alphabound1(s: SplitPoly, prec: int = DEFAULT_PREC) -> BoundCheck:
+def check_alphabound1(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
     """H(f)^d >= (n+1)^(-d/2) * prod_i M_K(alpha_i)."""
+    rec = split_record(s, prec)
+    s = rec.split
     n, d = s.degree, s.field.degree
-    lhs = height(s, prec).height_power_exact()
+    lhs = rec.height.height_power_exact()
     rhs = SqrtValue.sqrt_of_rational(Fraction(1, (n + 1) ** d))
-    for r in s.roots:
-        rhs = rhs * mk_alpha_exact(r, s.field)
+    for r, m in _distinct_roots(s):
+        rhs = rhs * mk_alpha_exact(r, s.field) ** m
     return _report("alphabound1", lhs, rhs, prec)
 
 
-def check_bound1(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
+def check_bound1(s: SplitPoly | SplitRecord, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
     """log H(f) >= ((n - r)/d) log mk - (1/2) log(n+1).
 
     mk must be a valid lower bound for the minimal nontrivial local
@@ -73,9 +85,9 @@ def check_bound1(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
     mk_frac = mk if isinstance(mk, Fraction) else Fraction(mk)
     if mk_frac <= 1:
         raise ValueError("mk must exceed 1")
-    n, d = s.degree, s.field.degree
-    r = count_unity_roots(s)
-    hrep = height(s, prec)
+    rec = split_record(s, prec)
+    n, d, r = rec.split.degree, rec.split.field.degree, rec.unity_roots
+    hrep = rec.height
     # exact form: H^d * (n+1)^(d/2) >= mk^(n-r)
     lhs_sv = hrep.height_power_exact() * SqrtValue.sqrt_of_rational(Fraction((n + 1) ** d))
     rhs_sv = SqrtValue.of_rational(mk_frac ** (n - r))
@@ -88,21 +100,24 @@ def check_bound1(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
                       margin_of(lhs_iv, rhs_iv), exact=True)
 
 
-def check_alphabound2(s: SplitPoly, prec: int = DEFAULT_PREC) -> BoundCheck:
+def check_alphabound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
     """H(f)^(dw) >= (n+1)^(-dw) * prod_i of the twisted root factors."""
+    rec = split_record(s, prec)
+    s = rec.split
     n, d, w = s.degree, s.field.degree, s.field.unity_order
-    lhs = height(s, prec).height_power_exact(w)
+    lhs = rec.height.height_power_exact(w)
     rhs_q = Fraction(1, (n + 1) ** (d * w))
-    for r in s.roots:
-        rhs_q *= alphabound2_root_factor(r, s.field)
+    for r, m in _distinct_roots(s):
+        rhs_q *= alphabound2_root_factor(r, s.field) ** m
     return _report("alphabound2", lhs, SqrtValue.of_rational(rhs_q), prec)
 
 
-def check_bound2(s: SplitPoly, prec: int = DEFAULT_PREC) -> BoundCheck:
+def check_bound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
     """log H(f) >= (r/w) log 2 - log(n+1) with r unity roots."""
-    n, d, w = s.degree, s.field.degree, s.field.unity_order
-    r = count_unity_roots(s)
-    hrep = height(s, prec)
+    rec = split_record(s, prec)
+    fld = rec.split.field
+    n, d, w, r = rec.split.degree, fld.degree, fld.unity_order, rec.unity_roots
+    hrep = rec.height
     # exact form: H^(dw) * (n+1)^(dw) >= 2^(rd)
     lhs_sv = hrep.height_power_exact(w) * SqrtValue.of_rational(Fraction((n + 1) ** (d * w)))
     rhs_sv = SqrtValue.of_rational(Fraction(2 ** (r * d)))

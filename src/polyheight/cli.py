@@ -30,7 +30,7 @@ from .analytic import check_complexmahler, mahler_measure
 from .bounds import (check_alphabound1, check_alphabound2, check_bound1,
                      check_bound2, ck_interval, t2_constant)
 from .gauss_lattice import lattice_case_check
-from .heights import height
+from .heights import height, split_record
 from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
                         RealInterval, check_precision, mpf_to_fraction)
 from .polyparse import ParseError, parse_field, parse_poly
@@ -230,15 +230,16 @@ def _cmd_verify(args) -> int:
                 f"{float(searched.value.lo):.6f}; pass a valid lower bound", 0, "")
     else:
         mk = mk_search(field, 3, prec=args.precision).lower_fraction
+    rec = split_record(split, prec=args.precision)
     checks = []
     for name in names:
         if name == "bound1":
-            checks.append(check_bound1(split, mk, prec=args.precision))
+            checks.append(check_bound1(rec, mk, prec=args.precision))
         elif name == "complexmahler":
             checks.append(check_complexmahler(split, prec=args.precision))
         else:
-            checks.append(_CHECKS[name](split, prec=args.precision))
-    hrep = height(split, prec=args.precision)
+            checks.append(_CHECKS[name](rec, prec=args.precision))
+    hrep = rec.height
     results = {
         "height": _interval_json(hrep.height) if args.json else _interval_text(hrep.height),
         "height_exact": _frac_str(hrep.exact) if hrep.exact is not None else None,

@@ -5,43 +5,69 @@ this shape (for imaginary fields the inner part is rational), so height
 and Mahler comparisons can be decided exactly instead of by enclosure
 overlap.  Values are closed under multiplication, division and integer
 powers; comparison reduces to sign tests of quadratic surds.
+
+The radicand is stored as (p + q*sqrt(D)) / den on Python integers in
+lowest terms, like ``FieldElement``, so arithmetic and comparison run on
+integers; the rational coordinates u, v are read-only views for display.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .intervals import DEFAULT_PREC, RealInterval, ri, working_precision
 from .numutil import power, rational_sqrt, surd_sign
 
 
-class SqrtValue:
-    """sqrt(u + v*sqrt(D)) with u, v rational; v = 0 when D is None."""
+def _raw(p: int, q: int, den: int, D: int | None) -> "SqrtValue":
+    """sqrt((p + q sqrt(D)) / den) for den > 0 and a nonnegative radicand,
+    reduced to lowest terms, without the sign check."""
+    if q == 0:
+        D = None
+    if den != 1 and (g := math.gcd(p, q, den)) != 1:
+        p, q, den = p // g, q // g, den // g
+    x = object.__new__(SqrtValue)
+    x.p, x.q, x.den, x.D = p, q, den, D
+    return x
 
-    __slots__ = ("u", "v", "D")
+
+class SqrtValue:
+    """sqrt((p + q*sqrt(D)) / den) with integers den > 0 and
+    gcd(p, q, den) = 1; q = 0 and D = None for a rational radicand."""
+
+    __slots__ = ("p", "q", "den", "D")
 
     def __init__(self, u, v=0, D: int | None = None):
-        self.u = u if isinstance(u, Fraction) else Fraction(u)
-        self.v = v if isinstance(v, Fraction) else Fraction(v)
-        if self.v == 0:
-            D = None
-        self.D = D
-        if D is not None and D <= 1:
+        u, v = Fraction(u), Fraction(v)
+        if v != 0 and (D is None or D <= 1):
             raise ValueError("inner sqrt(D) requires D > 1")
-        if self._inner_sign() < 0:
-            raise ValueError(f"negative square: {self.u} + {self.v}*sqrt({D})")
+        den = math.lcm(u.denominator, v.denominator)   # so gcd(p, q, den) = 1
+        p = u.numerator * (den // u.denominator)
+        q = v.numerator * (den // v.denominator)
+        if surd_sign(p, q, D) < 0:
+            raise ValueError(f"negative square: {u} + {v}*sqrt({D})")
+        self.p, self.q, self.den = p, q, den
+        self.D = D if q else None
 
-    def _inner_sign(self) -> int:
-        if self.D is None:
-            return (self.u > 0) - (self.u < 0)
-        return surd_sign(self.u, self.v, self.D)
+    @property
+    def u(self) -> Fraction:
+        """The rational part p / den of the radicand."""
+        return Fraction(self.p, self.den)
+
+    @property
+    def v(self) -> Fraction:
+        """The sqrt(D) coefficient q / den of the radicand."""
+        return Fraction(self.q, self.den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def of_rational(cls, q) -> "SqrtValue":
         """The exact value |q| as a SqrtValue."""
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        return cls(q * q)
+        if isinstance(q, int):
+            return _raw(q * q, 0, 1, None)
+        q = Fraction(q)   # n/d in lowest terms, so n^2/d^2 is too
+        return _raw(q.numerator ** 2, 0, q.denominator ** 2, None)
 
     @classmethod
     def sqrt_of_rational(cls, q) -> "SqrtValue":
@@ -51,18 +77,26 @@ class SqrtValue:
     def abs_sigma1(cls, x) -> "SqrtValue":
         """|sigma_1(x)| for a field element x."""
         fld = x.field
+        den2 = x.den * x.den
         if fld.is_rational:
-            return cls.of_rational(abs(x.a))
+            return _raw(x.p * x.p, 0, den2, None)
         if fld.is_imaginary:
-            return cls(x.norm())  # |sigma(x)|^2 = N(x) >= 0
-        sq = x * x
-        return cls(sq.a, sq.b, fld.D)
+            return _raw(x.scaled_norm(), 0, den2, None)  # |sigma(x)|^2 = N(x) >= 0
+        # sigma_1(x)^2 = (p^2 + D q^2 + 2 p q sqrt(D)) / den^2
+        return _raw(x.p * x.p + fld.D * x.q * x.q, 2 * x.p * x.q, den2, fld.D)
 
     @classmethod
     def one(cls) -> "SqrtValue":
-        return cls(Fraction(1))
+        return _raw(1, 0, 1, None)
 
     # -- algebra ----------------------------------------------------------
+
+    def _coerce(self, other) -> "SqrtValue":
+        if isinstance(other, SqrtValue):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return SqrtValue.of_rational(other)
+        raise TypeError(f"cannot compare or combine SqrtValue with {type(other)}")
 
     def _merge_D(self, other: "SqrtValue") -> int | None:
         if self.D is None:
@@ -72,29 +106,28 @@ class SqrtValue:
         raise ValueError("incompatible sqrt(D) parts")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SqrtValue.of_rational(other)
-        D = self._merge_D(other)
+        o = self._coerce(other)
+        D = self._merge_D(o)
         if D is None:
-            return SqrtValue(self.u * other.u)
-        u = self.u * other.u + D * self.v * other.v
-        v = self.u * other.v + self.v * other.u
-        return SqrtValue(u, v, D)
+            return _raw(self.p * o.p, 0, self.den * o.den, None)
+        p, q = self.p, self.q
+        return _raw(p * o.p + D * q * o.q, p * o.q + q * o.p, self.den * o.den, D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SqrtValue.of_rational(other)
-        if other.is_zero():
+        o = self._coerce(other)
+        if o.is_zero():
             raise ZeroDivisionError
-        D = self._merge_D(other)
+        D = self._merge_D(o)
         if D is None:
-            return SqrtValue(self.u / other.u)
-        den = other.u * other.u - D * other.v * other.v
-        u = (self.u * other.u - D * self.v * other.v) / den
-        v = (self.v * other.u - self.u * other.v) / den
-        return SqrtValue(u, v, D)
+            return _raw(self.p * o.den, 0, self.den * o.p, None)
+        # (p + q r) / (o.p + o.q r) = (p + q r)(o.p - o.q r) / (o.p^2 - D o.q^2)
+        p, q = self.p, self.q
+        n = self.den * (o.p * o.p - D * o.q * o.q)
+        s = 1 if n > 0 else -1
+        return _raw(s * o.den * (p * o.p - D * q * o.q),
+                    s * o.den * (q * o.p - p * o.q), s * n, D)
 
     def __pow__(self, k: int) -> "SqrtValue":
         if k < 0:
@@ -102,22 +135,20 @@ class SqrtValue:
         return power(self, k, SqrtValue.one())
 
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self.p == 0 and self.q == 0
 
     def is_one(self) -> bool:
-        return self.u == 1 and self.v == 0
+        return self.p == 1 and self.q == 0 and self.den == 1
 
     # -- comparison ---------------------------------------------------------
 
     def compare(self, other) -> int:
         """Exact three-way comparison (values are nonnegative reals)."""
-        if isinstance(other, (int, Fraction)):
-            other = SqrtValue.of_rational(other)
-        D = self._merge_D(other)
-        du, dv = self.u - other.u, self.v - other.v
-        if D is None:
-            return (du > 0) - (du < 0)
-        return surd_sign(du, dv, D)
+        o = self._coerce(other)
+        D = self._merge_D(o)
+        # sqrt is increasing, so compare the radicands over den * o.den > 0
+        return surd_sign(self.p * o.den - o.p * self.den,
+                         self.q * o.den - o.q * self.den, D)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (SqrtValue, int, Fraction)):
@@ -125,7 +156,7 @@ class SqrtValue:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.u, self.v, self.D))
+        return hash((self.p, self.q, self.den, self.D))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -143,7 +174,7 @@ class SqrtValue:
 
     def as_rational(self) -> Fraction | None:
         """Exact rational value if the value is rational, else None."""
-        if self.v != 0:
+        if self.q != 0:
             return None
         return rational_sqrt(self.u)
 

@@ -133,3 +133,21 @@ def count_unity_roots(s: SplitPoly) -> int:
     """Number of roots (with multiplicity) that are roots of unity."""
     unity = set(roots_of_unity(s.field))
     return sum(1 for r in s.roots if r in unity)
+
+
+@dataclass(frozen=True)
+class SplitRecord:
+    """A split polynomial with the quantities the bound checks read, each
+    computed once.  The height enclosures are at the precision the record
+    was built with; every check decides from the exact parts."""
+
+    split: SplitPoly
+    height: HeightReport
+    unity_roots: int          # roots of unity among the roots, with multiplicity
+
+
+def split_record(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> SplitRecord:
+    """The record of s, or s itself when it is one already."""
+    if isinstance(s, SplitRecord):
+        return s
+    return SplitRecord(s, height(s, prec), count_unity_roots(s))

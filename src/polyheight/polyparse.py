@@ -21,6 +21,16 @@ from fractions import Fraction
 from .fields import Field, FieldElement, make_field
 from .polynomials import PolyOverK
 
+# Budgets, each checked before the work it bounds.  A polynomial is
+# stored densely, one coefficient per power up to its degree, so an
+# exponent is checked before anything is allocated for it (parsing takes
+# about 1.4 s per 10^6 powers).
+MAX_EXPONENT = 10_000
+# Python converts decimal strings of at most 4300 digits to int
+# (sys.get_int_max_str_digits); every integer in the input is held to
+# the same bound before it is converted.
+MAX_DIGITS = 4300
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int, text: str):
@@ -60,6 +70,9 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", self.pos, self.text)
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"an integer of {self.pos - start} digits exceeds the "
+                             f"budget of MAX_DIGITS = {MAX_DIGITS} digits", start, self.text)
         return int(self.text[start:self.pos])
 
     def at_end(self) -> bool:
@@ -124,6 +137,17 @@ def _parse_coeff_expr(sc: _Scanner, field: Field) -> FieldElement:
             return acc
 
 
+def _parse_exponent(sc: _Scanner) -> int:
+    if not sc.eat("^"):
+        return 1
+    start = sc.pos
+    power = sc.uint()
+    if power > MAX_EXPONENT:
+        raise ParseError(f"exponent {power} exceeds the budget of "
+                         f"MAX_EXPONENT = {MAX_EXPONENT}", start, sc.text)
+    return power
+
+
 def parse_poly(text: str, field: Field) -> PolyOverK:
     """Parse a polynomial in x with rational or sqrt(D) coefficients."""
     sc = _Scanner(text)
@@ -141,10 +165,10 @@ def parse_poly(text: str, field: Field) -> PolyOverK:
             coeff = _parse_atom(sc, field)
             have_coeff = True
         if sc.eat("x"):
-            power = sc.uint() if sc.eat("^") else 1
+            power = _parse_exponent(sc)
         elif sc.eat("*"):
             sc.expect("x")
-            power = sc.uint() if sc.eat("^") else 1
+            power = _parse_exponent(sc)
         else:
             if not have_coeff:
                 raise ParseError("expected a term", sc.pos, sc.text)

@@ -72,16 +72,17 @@ def mk_search(field: Field, cap: float, prec: int = DEFAULT_PREC) -> MKResult:
     d = field.degree
     best: SqrtValue | None = None
     witnesses: list[CharPoly] = []
+    one, cap_sv = SqrtValue.one(), SqrtValue.of_rational(cap_frac)
 
     def offer(value: SqrtValue, cp: CharPoly):
         nonlocal best
-        if not (value.compare(1) > 0 and value.compare(cap_frac) <= 0):
+        if value.compare(one) <= 0 or value.compare(cap_sv) > 0:
             return
-        if best is None or value.compare(best) < 0:
+        order = -1 if best is None else value.compare(best)
+        if order < 0:
             best = value
-            witnesses.clear()
-            witnesses.append(cp)
-        elif value.compare(best) == 0:
+            witnesses[:] = [cp]
+        elif order == 0:
             witnesses.append(cp)
 
     # rational elements: minimal polynomial c1 x + c0, measure max(|c1|,|c0|)^d

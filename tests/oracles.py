@@ -4,7 +4,8 @@ They are deliberately slow or low-precision and are not part of the
 package: a circle integral and mpmath.polyroots for Mahler measures,
 sympy's factorization for the Kronecker test, the characteristic
 polynomial for the local-maxima product, a direct scan for the minimal
-measure, and prime-by-prime valuations for the discrete Gauss norms.
+measure, prime-by-prime valuations for the discrete Gauss norms, and
+SqrtValue's arithmetic on Fractions.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ import sympy
 from polyheight import Field, FieldElement, MahlerValue, SqrtValue, char_poly, int_to_poly
 from polyheight.analytic import mahler_measure
 from polyheight.heights import mk_alpha_exact
-from polyheight.intervals import DEFAULT_PREC, MAX_PREC
-from polyheight.numutil import factorize
+from polyheight.intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, ri,
+                                  working_precision)
+from polyheight.numutil import factorize, power, rational_sqrt, surd_sign
 from polyheight.valuations import primes_above, valuation
 
 
@@ -128,3 +130,103 @@ def local_max_by_primes(x: FieldElement, field: Field, exponent: int = 1) -> Fra
         if v < 0:
             out *= Fraction(pr.residue_norm) ** (-v * exponent)
     return out
+
+
+class FractionSqrtValue:
+    """sqrt(u + v*sqrt(D)) with u, v Fractions; v = 0 when D is None.
+
+    SqrtValue's arithmetic as it was before the radicand moved to integer
+    coordinates, kept as the reference that the integer form must agree
+    with.
+    """
+
+    __slots__ = ("u", "v", "D")
+
+    def __init__(self, u, v=0, D: int | None = None):
+        self.u = Fraction(u)
+        self.v = Fraction(v)
+        if self.v == 0:
+            D = None
+        self.D = D
+        if D is not None and D <= 1:
+            raise ValueError("inner sqrt(D) requires D > 1")
+        if self._inner_sign() < 0:
+            raise ValueError(f"negative square: {self.u} + {self.v}*sqrt({D})")
+
+    def _inner_sign(self) -> int:
+        if self.D is None:
+            return (self.u > 0) - (self.u < 0)
+        return surd_sign(self.u, self.v, self.D)
+
+    @classmethod
+    def of_rational(cls, q) -> "FractionSqrtValue":
+        q = Fraction(q)
+        return cls(q * q)
+
+    @classmethod
+    def one(cls) -> "FractionSqrtValue":
+        return cls(1)
+
+    def _merge_D(self, other: "FractionSqrtValue") -> int | None:
+        if self.D is None:
+            return other.D
+        if other.D is None or other.D == self.D:
+            return self.D
+        raise ValueError("incompatible sqrt(D) parts")
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionSqrtValue.of_rational(other)
+        D = self._merge_D(other)
+        if D is None:
+            return FractionSqrtValue(self.u * other.u)
+        u = self.u * other.u + D * self.v * other.v
+        v = self.u * other.v + self.v * other.u
+        return FractionSqrtValue(u, v, D)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionSqrtValue.of_rational(other)
+        if other.is_zero():
+            raise ZeroDivisionError
+        D = self._merge_D(other)
+        if D is None:
+            return FractionSqrtValue(self.u / other.u)
+        den = other.u * other.u - D * other.v * other.v
+        u = (self.u * other.u - D * self.v * other.v) / den
+        v = (self.v * other.u - self.u * other.v) / den
+        return FractionSqrtValue(u, v, D)
+
+    def __pow__(self, k: int) -> "FractionSqrtValue":
+        if k < 0:
+            return FractionSqrtValue.one() / self ** (-k)
+        return power(self, k, FractionSqrtValue.one())
+
+    def is_zero(self) -> bool:
+        return self.u == 0 and self.v == 0
+
+    def is_one(self) -> bool:
+        return self.u == 1 and self.v == 0
+
+    def compare(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            other = FractionSqrtValue.of_rational(other)
+        D = self._merge_D(other)
+        du, dv = self.u - other.u, self.v - other.v
+        if D is None:
+            return (du > 0) - (du < 0)
+        return surd_sign(du, dv, D)
+
+    def as_rational(self) -> Fraction | None:
+        if self.v != 0:
+            return None
+        return rational_sqrt(self.u)
+
+    def to_interval(self, prec: int = DEFAULT_PREC) -> RealInterval:
+        with working_precision(prec):
+            inner = RealInterval.from_fraction(self.u)
+            if self.D is not None:
+                inner = inner + RealInterval.from_fraction(self.v) * ri(self.D).sqrt()
+            if inner.lo < 0:
+                inner = RealInterval.hull(0, inner.hi)
+            return inner.sqrt()

@@ -334,3 +334,43 @@ def test_semiprime_denominators_need_no_factoring(capsys, factored):
 def test_budgets_exit_3(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and message in err and out == ""
+
+
+def test_verify_computes_height_and_mk_once(capsys, monkeypatch):
+    import sys
+    from polyheight import heights, search
+    calls = {"height": 0, "mk_search": 0}
+    for owner, name in ((heights, "height"), (search, "mk_search")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        # the function and every `from .x import name` alias of it
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("polyheight") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    code, rep, _ = run_json(capsys, "verify", "--field", "Q(sqrt(-2))",
+                            "--poly", "x^8+2x^6-3x^4-4x^2+4", "--all")
+    assert code == 0 and len(rep["results"]["checks"]) == 5
+    assert calls == {"height": 1, "mk_search": 1}
+
+
+@pytest.mark.parametrize("poly, budget", [
+    ("x^100000000", "MAX_EXPONENT"),
+    ("x^" + "9" * 5000, "MAX_DIGITS"),
+    ("1" * 5000 + "x + 1", "MAX_DIGITS"),
+    ("x^2 + 1/" + "7" * 4301, "MAX_DIGITS"),
+])
+def test_parser_budgets_exit_3(capsys, poly, budget):
+    code, out, err = run_cli(capsys, "height", "--field", "Q", "--poly", poly)
+    assert code == 3 and budget in err and out == ""
+    assert "Exceeds the limit" not in err
+
+
+def test_parser_budgets_accept_their_bounds():
+    from polyheight import rationals
+    from polyheight.polyparse import MAX_DIGITS, MAX_EXPONENT, parse_poly
+    assert parse_poly(f"x^{MAX_EXPONENT} - 1", rationals()).degree == MAX_EXPONENT
+    big = parse_poly("9" * MAX_DIGITS + "x + 1/" + "7" * MAX_DIGITS, rationals())
+    assert big.coeffs[1] == 10 ** MAX_DIGITS - 1

@@ -70,3 +70,65 @@ def test_incompatible_fields():
     b = SqrtValue(F(1), F(1), 2)
     with pytest.raises(ValueError):
         a * b
+
+
+
+# -- the integer radicand against the Fraction reference ------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oracles import FractionSqrtValue  # noqa: E402
+from polyheight.numutil import surd_sign  # noqa: E402
+
+_fracs = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60))
+
+
+@st.composite
+def _radicands(draw):
+    """Two nonnegative radicands (u, v) over one D in {None, 2, 5, 17};
+    either may be rational."""
+    D = draw(st.sampled_from([None, 2, 5, 17]))
+    out = []
+    for _ in range(2):
+        u = draw(_fracs)
+        v = F(0) if D is None or draw(st.booleans()) else draw(_fracs)
+        if surd_sign(u, v, D) < 0:
+            u, v = -u, -v
+        out.append((u, v))
+    return D, out
+
+
+def _same(x: SqrtValue, ref: FractionSqrtValue):
+    assert all(type(getattr(x, s)) is int for s in ("p", "q", "den"))
+    assert x.den > 0
+    assert (x.u, x.v, x.D) == (ref.u, ref.v, ref.D)
+    assert x.is_one() == ref.is_one() and x.is_zero() == ref.is_zero()
+    assert x.as_rational() == ref.as_rational()
+    iv, ref_iv = x.to_interval(128), ref.to_interval(128)
+    assert (iv.lo, iv.hi) == (ref_iv.lo, ref_iv.hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radicands(), st.integers(-3, 4), _fracs)
+def test_integer_radicand_matches_fraction_reference(radicands, k, q):
+    D, ((u1, v1), (u2, v2)) = radicands
+    a, b = SqrtValue(u1, v1, D), SqrtValue(u2, v2, D)
+    ra, rb = FractionSqrtValue(u1, v1, D), FractionSqrtValue(u2, v2, D)
+    _same(a, ra)
+    assert a.compare(b) == ra.compare(rb)
+    assert a.compare(q) == ra.compare(q)
+    _same(a * b, ra * rb)
+    _same(a * q, ra * q)
+    if not rb.is_zero():
+        _same(a / b, ra / rb)
+    if q:
+        _same(a / q, ra / q)
+    if k >= 0 or not ra.is_zero():
+        _same(a ** k, ra ** k)
+
+
+def test_radicand_in_lowest_terms():
+    x = SqrtValue(F(2, 4), F(6, 4), 5)
+    assert (x.p, x.q, x.den) == (1, 3, 2)
+    y = SqrtValue.sqrt_of_rational(F(6, 4)) * SqrtValue.sqrt_of_rational(F(2, 3))
+    assert (y.p, y.q, y.den) == (1, 0, 1) and y.is_one()

@@ -149,3 +149,29 @@ def test_central_binomial_height_family():
         coeffs = intpoly_pow([-1, 0, 1], m)
         rep = height(int_to_poly(coeffs, q))
         assert rep.exact == math.comb(m, m // 2)
+
+
+def test_char_poly_matches_sympy_minimal_polynomial():
+    import random
+
+    import sympy
+    x = sympy.Symbol("x")
+    rng = random.Random(20261019)
+    fields = [rationals()] + [quadratic_field(D) for D in (-1, -3, 5, -2)]
+    for field in fields:
+        elements = [field.zero(), field.element(F(-3, 2))]
+        elements += [random_element(rng, field, nonzero=False, num=9, den=6) for _ in range(12)]
+        for alpha in elements:
+            expr = sympy.Rational(alpha.a.numerator, alpha.a.denominator)
+            if field.degree == 2:
+                expr += sympy.Rational(alpha.b.numerator, alpha.b.denominator) * sympy.sqrt(field.D)
+            mp = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
+            coeffs = [int(c) for c in reversed(mp.all_coeffs())]
+            if coeffs[-1] < 0:
+                coeffs = [-c for c in coeffs]
+            cp = char_poly(alpha, field)
+            assert list(cp.coeffs) == coeffs, (field, alpha)
+            assert cp.inner_degree == mp.degree()
+            assert cp.power * cp.inner_degree == field.degree
+            if alpha.is_rational():
+                assert cp.power == field.degree
