@@ -34,8 +34,8 @@ from .heights import height, split_record
 from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
                         RealInterval, check_precision, mpf_to_fraction)
 from .polyparse import ParseError, parse_field, parse_poly
-from .search import (ck_lower_certify, mk_search, pell_counterexample,
-                     recognize_split)
+from .search import (MK_SEARCH_MAX_CAP, ck_lower_certify, mk_search,
+                     pell_counterexample, recognize_split)
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
 
 SCHEMA_VERSION = 1
@@ -214,22 +214,25 @@ def _cmd_ck_interval(args) -> int:
 def _cmd_verify(args) -> int:
     field = parse_field(args.field)
     poly = parse_poly(args.poly, field)
-    split = recognize_split(poly, field, prec=args.precision)
+    split = recognize_split(poly, field)
     if split is None:
         raise ParseError("polynomial does not split over the field "
                          "(roots must be nonzero field elements)", 0, args.poly)
     names = list(_CHECKS) + ["bound1", "complexmahler"] if args.all else [args.check]
-    if args.mk is not None:
+    cap = 3.0 if args.mk is None else max(3.0, min(MK_SEARCH_MAX_CAP, args.mk + 0.5))
+    try:
+        searched = mk_search(field, cap, prec=args.precision)
+    except ValueError:   # nothing in (1, cap]; 2 has measure 2^d <= MK_SEARCH_MAX_CAP
+        searched = mk_search(field, MK_SEARCH_MAX_CAP, prec=args.precision)
+    if args.mk is None:
+        mk = searched.lower_fraction
+    else:
         mk = Fraction(args.mk)
         # an overlarge mk would turn a sound theorem check into a false alarm
-        searched = mk_search(field, max(3.0, min(4.0, args.mk + 0.5)),
-                             prec=args.precision)
         if searched.value_exact.compare(mk) < 0:
             raise ParseError(
                 f"--mk {args.mk} exceeds the field's minimal measure "
                 f"{float(searched.value.lo):.6f}; pass a valid lower bound", 0, "")
-    else:
-        mk = mk_search(field, 3, prec=args.precision).lower_fraction
     rec = split_record(split, prec=args.precision)
     checks = []
     for name in names:

@@ -59,15 +59,15 @@ def _div_round(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def coeff_ball(c: FieldElement, s: int, embedding: int = 0) -> Ball:
-    """A ball containing the image of c under the given embedding."""
+def coeff_ball(c: FieldElement, s: int) -> Ball:
+    """A ball containing the image of c under the first embedding."""
     num = c.p << s
     if c.q == 0:
         x = _div_round(num, c.den)
         return x, 0, 0 if x * c.den == num else 1
     D = c.field.D
     t = math.isqrt(c.q * c.q * abs(D) << 2 * s)   # floor(|q| sqrt|D| 2^s)
-    if (c.q < 0) != (embedding == 1):
+    if c.q < 0:
         t = -t
     # the error is below 1/den + 1/2 in one part and 1/2 in the other
     if D > 0:
@@ -193,16 +193,15 @@ def _disc_box(x: int, y: int, d: int, s: int) -> ComplexBox:
     return ComplexBox(side(x), side(y))
 
 
-def _isolate_squarefree(g: PolyOverK, prec: int, target: Fraction,
-                        embedding: int) -> list[Ball] | None:
+def _isolate_squarefree(g: PolyOverK, prec: int, target: Fraction) -> list[Ball] | None:
     """Pairwise disjoint discs (x, y, d) at scale 2^-(prec + GUARD_BITS),
     each holding one root of the squarefree g and of diameter at most
     target, or None when that could not be certified at prec."""
     s = prec + GUARD_BITS
     m = g.degree
     if m == 1:
-        return [coeff_ball(-(g.coeffs[0] / g.coeffs[1]), s, embedding)]
-    cs = [coeff_ball(c, s, embedding) for c in g.coeffs]
+        return [coeff_ball(-(g.coeffs[0] / g.coeffs[1]), s)]
+    cs = [coeff_ball(c, s) for c in g.coeffs]
     dcs = derivative_balls(cs)
     seeds = _seed_roots(cs, m, s, prec)
     if seeds is None:
@@ -231,7 +230,7 @@ def _isolate_squarefree(g: PolyOverK, prec: int, target: Fraction,
 
 
 def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
-                  target_width=None, embedding: int = 0) -> list[RootBox] | None:
+                  target_width=None) -> list[RootBox] | None:
     """Certified boxes, at working precision prec, for every root of the
     squarefree factors (with their multiplicities), or None when some
     factor could not be isolated at this precision."""
@@ -240,7 +239,7 @@ def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
     s = prec + GUARD_BITS
     out: list[RootBox] = []
     for g, mult in factors:
-        discs = _isolate_squarefree(g, prec, target, embedding)
+        discs = _isolate_squarefree(g, prec, target)
         if discs is None:
             return None
         out.extend(RootBox(_disc_box(x, y, d, s), mult) for x, y, d in discs)
@@ -248,8 +247,8 @@ def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
 
 
 def complex_roots(f, target_width=None, prec: int = DEFAULT_PREC,
-                  max_prec: int = MAX_PREC, embedding: int = 0) -> list[RootBox]:
-    """All complex roots of f (under the chosen embedding), as certified
+                  max_prec: int = MAX_PREC) -> list[RootBox]:
+    """All complex roots of f (under the first embedding), as certified
     boxes with multiplicities.  Coefficients must be exact (rational or
     field elements); the leading coefficient is nonzero by construction.
     Raises CertificationError when no precision up to max_prec isolates
@@ -259,7 +258,6 @@ def complex_roots(f, target_width=None, prec: int = DEFAULT_PREC,
     if poly.degree == 0:
         return []
     factors = poly.squarefree_decomposition()
-    roots = escalate(lambda p: isolate_roots(factors, p, target_width, embedding),
-                     prec, max_prec)
+    roots = escalate(lambda p: isolate_roots(factors, p, target_width), prec, max_prec)
     assert sum(r.multiplicity for r in roots) == poly.degree
     return roots

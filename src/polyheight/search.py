@@ -1,29 +1,26 @@
 """Constructive searches: minimal local Mahler measures, power-family
 certificates for the growth constant, real-case sampling, the Pell
-obstruction, and recognition of split polynomials.
+obstruction, and exact recognition of split polynomials by p-adic
+lifting on integers (no floats, no root isolation).
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .analytic import MahlerValue
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, quadratic_field
 from .heights import CharPoly, mk_alpha_exact
-from .intervals import DEFAULT_PREC, MAX_PREC, mpf_to_fraction
-from .numutil import is_perfect_square
+from .intervals import DEFAULT_PREC, mpf_to_fraction
+from .numutil import is_perfect_square, is_prime, legendre
 from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_mul,
                           is_primitive_int)
-from .rootfind import complex_roots
-from .valuations import local_max_product
+from .valuations import _hensel_root, local_max_product
 
 MK_SEARCH_MAX_CAP = 4.0
 # Python prints an int of at most 4300 digits (sys.get_int_max_str_digits),
@@ -263,128 +260,128 @@ def pell_counterexample(d: int) -> PellWitness:
 # split recognition
 # ---------------------------------------------------------------------------
 
-def _round_fraction(x: float, q: int, D: int = 1) -> Fraction:
-    """The point of the 1/q grid nearest x / sqrt(D), in doubles."""
-    return Fraction(round(x / math.sqrt(D) * q), q)
-
-
-def _round_exact(x: Fraction, q: int, D: int = 1) -> Fraction:
-    """The point of the 1/q grid nearest x / sqrt(D), exactly: with
-    t = |q x / sqrt(D)|, floor(t + 1/2) = (floor(2t) + 1) // 2, and
-    floor(2t) = isqrt(floor(4t^2))."""
-    t2 = 4 * q * q * x * x / D
-    k = (math.isqrt(t2.numerator // t2.denominator) + 1) // 2
-    return Fraction(k if x >= 0 else -k, q)
-
-
-class _Centre(NamedTuple):
-    """The exact centre of a certified root box."""
-    real: Fraction
-    imag: Fraction
-
-
-def _verify_candidates(f_scaled: PolyOverK, candidates: set[FieldElement],
-                       original_lead: FieldElement, field: Field) -> SplitPoly | None:
-    current = f_scaled
-    roots: list[FieldElement] = []
-    for alpha in candidates:
-        if alpha.is_zero():
-            continue
-        while True:
-            divided = current.divide_root(alpha)
-            if divided is None:
+def _roots_mod(cs: list[int], p: int) -> dict[int, int]:
+    """The roots in F_p, with multiplicities, of the polynomial with
+    coefficients cs (lowest degree first, leading one nonzero mod p)."""
+    out: dict[int, int] = {}
+    for a in range(p):
+        q = cs
+        while len(q) > 1:   # synthetic division by x - a
+            acc, quo = 0, []
+            for c in reversed(q):
+                acc = (acc * a + c) % p
+                quo.append(acc)
+            if acc:
                 break
-            current = divided
-            roots.append(alpha)
-            if current.degree == 0:
-                break
-        if current.degree == 0:
-            break
-    if current.degree == 0 and len(roots) == f_scaled.degree:
-        return SplitPoly(original_lead, roots, field)
-    return None
+            q = quo[-2::-1]
+            out[a] = out.get(a, 0) + 1
+    return out
 
 
-def _candidates(field: Field, zs1, zs2, q: int, rnd) -> set[FieldElement]:
-    """Field elements with coordinates of denominator q nearest to the
-    approximate roots zs1 of f (first embedding) and, for real quadratic
-    fields, zs2 of its conjugate; rnd(x, q, D) is the point of the 1/q
-    grid nearest x / sqrt(D)."""
+def _lift(cs: list[int], m: int, a: int, p: int, k: int) -> int:
+    """The root mod p^k, congruent to a mod p, of h, the (m-1)-th
+    derivative of cs, where a is a root of cs mod p of multiplicity m < p:
+    h'(a) = m! (cs / (x - a)^m)(a) is then a unit, and each Newton step
+    doubles the p-adic digits."""
+    h = [c * math.perm(i, m - 1) for i, c in enumerate(cs)][m - 1:]
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        mod, v, dv = p ** j, 0, 0
+        for c in reversed(h):
+            v, dv = (v * a + c) % mod, (dv * a + v) % mod
+        a = (a - v * pow(dv, -1, mod)) % mod
+    return a
+
+
+def _class_reducer(field: Field, w: int, mod: int):
+    """The map h -> (beta, 4 T2(beta) / deg K), beta the element of O_K of
+    least T2 with beta = h mod P^k, where P^k is the kernel of
+    x0 + x1 omega -> x0 + x1 w mod p^k (omega = (1 + sqrt(D))/2 for the
+    half-integer basis, sqrt(D) otherwise), for every beta with
+    T2(beta) < lambda_1(P^k)^2 / 8.  Over Q beta is the balanced residue.
+    Otherwise the Lagrange-Gauss reduced basis (u, v) of P^k has vectors
+    at least lambda_1 long at 60 to 120 degrees, so the coordinates of
+    beta in it are below 0.41 in size, and the Babai rounding of (h, 0)
+    is h - beta."""
     if field.is_rational:
-        return {field.element(rnd(z.real, q)) for z in zs1}
-    if field.is_imaginary:
-        return {field.element(rnd(z.real, q), rnd(z.imag, q, -field.D)) for z in zs1}
-    return {field.element(rnd((z1.real + z2.real) / 2, q),
-                          rnd((z1.real - z2.real) / 2, q, field.D))
-            for z1 in zs1 for z2 in zs2}
+        return lambda h: (field.element(h - mod if 2 * h > mod else h),
+                          4 * min(h, mod - h) ** 2)
+    D, half = abs(field.D), field.half_integer_basis
+
+    def t2(x: tuple[int, int]) -> int:
+        return (2 * x[0] + x[1]) ** 2 + D * x[1] ** 2 if half else 4 * (x[0] ** 2 + D * x[1] ** 2)
+
+    u, v = sorted([(mod, 0), (-w, 1)], key=t2)
+    while True:
+        mu = (t2((u[0] + v[0], u[1] + v[1])) - t2(v)) // (2 * t2(u))   # round(<u,v>/<u,u>)
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if t2(v) >= t2(u):
+            break
+        u, v = v, u
+    if (det := u[0] * v[1] - u[1] * v[0]) < 0:
+        v, det = (-v[0], -v[1]), -det
+
+    def nearest(h: int) -> tuple[FieldElement, int]:
+        cu, cv = (2 * h * v[1] + det) // (2 * det), (det - 2 * h * u[1]) // (2 * det)
+        x0, x1 = h - cu * u[0] - cv * v[0], -cu * u[1] - cv * v[1]
+        b = Fraction(x1, 2) if half else x1
+        return field.element(x0 + b if half else x0, b), t2((x0, x1))
+    return nearest
 
 
-def _is_real_quadratic(field: Field) -> bool:
-    return field.is_totally_real and not field.is_rational
-
-
-def _fast_candidates(f: PolyOverK, q: int) -> set[FieldElement] | None:
-    root_d = cmath.sqrt(f.field.D or 0)   # first embedding of sqrt(D)
-
-    def double_roots(g: PolyOverK):
-        arr = np.array([c.p / c.den + c.q / c.den * root_d for c in g.coeffs], dtype=complex)
-        return np.roots(arr[::-1]) if np.all(np.isfinite(arr)) else None
-
-    try:
-        roots1 = double_roots(f)
-        roots2 = double_roots(f.conj()) if _is_real_quadratic(f.field) else ()
-    except (OverflowError, ValueError, np.linalg.LinAlgError):
-        return None
-    if roots1 is None or roots2 is None:
-        return None
-    return _candidates(f.field, roots1, roots2, q, _round_fraction)
-
-
-def _certified_candidates(f: PolyOverK, q: int, prec: int,
-                          max_prec: int) -> set[FieldElement]:
-    def mid(x) -> Fraction:
-        return (mpf_to_fraction(x.lo) + mpf_to_fraction(x.hi)) / 2
-
-    def certified_roots(g: PolyOverK):
-        return [_Centre(mid(rb.box.re), mid(rb.box.im))
-                for rb in complex_roots(g, target_width=Fraction(1, 8 * q), prec=prec,
-                                        max_prec=max_prec)]
-
-    roots1 = certified_roots(f)
-    roots2 = certified_roots(f.conj()) if _is_real_quadratic(f.field) else ()
-    return _candidates(f.field, roots1, roots2, q, _round_exact)
-
-
-def recognize_split(f, field: Field, prec: int = DEFAULT_PREC,
-                    max_prec: int = MAX_PREC) -> SplitPoly | None:
+def recognize_split(f, field: Field) -> SplitPoly | None:
     """Exact split form of f over the field, or None when some root lies
-    outside the multiplicative group of the field.
+    outside the multiplicative group of the field, by p-adic lifting on
+    integers (Loos, SIAM J. Comput. 12, 1983).
 
-    Candidate roots are reconstructed from numeric root enclosures (the
-    coordinates of a root have denominator dividing 2|N(lead)| once the
-    coefficients are scaled to integral coordinates) and verified by
-    exact synthetic division, so a returned SplitPoly is exact.  A
-    CertificationError (isolation failure) is distinct from a not-split
-    result.
+    g, the factor left to split, scaled to integral coefficients
+    x_i + y_i sqrt(D), is read mod a prime P of degree 1 above an odd p
+    with lead(g) a unit mod P.  A split g splits mod P, so fewer than
+    deg g roots mod P, counted with multiplicity, prove "not split".  A
+    root of multiplicity m < p (primes up to the largest m are skipped)
+    is lifted to P^k as the simple root of g^(m-1), with p^k > 64 max
+    (x_i^2 + |D| y_i^2).  By Cauchy's bound, beta = lead(g) alpha then has
+    T2(beta) < p^k / 4 <= lambda_1(P^k)^2 / 8, and `_class_reducer`
+    recovers it.  A candidate counts only when it divides exactly; a
+    simple root whose lift does not divide proves "not split", and roots
+    that collide mod P (finitely many P, for a split g) go to the next
+    prime.
     """
-    if isinstance(f, PolyOverK):
-        poly = f
-        if poly.field != field:
-            raise ValueError("field mismatch")
-    else:
-        poly = int_to_poly(f, field)
-    if poly.degree == 0:
-        return SplitPoly(poly.lead, [], field)
+    poly = f if isinstance(f, PolyOverK) else int_to_poly(f, field)
+    if poly.field != field:
+        raise ValueError("field mismatch")
     if poly.coeffs[0].is_zero():
         return None  # zero root
-    den = math.lcm(*(c.den for c in poly.coeffs))
-    scaled = poly.scale(field.element(den))
-    lead_norm = scaled.lead.abs_norm()
-    q = 2 * int(lead_norm)
-    cands = _fast_candidates(scaled, q)
-    if cands is not None:
-        result = _verify_candidates(scaled, cands, poly.lead, field)
-        if result is not None:
-            return result
-    cands = _certified_candidates(scaled, q, prec, max_prec)
-    return _verify_candidates(scaled, cands, poly.lead, field)
+    D = field.D or 0
+    rest, roots, p = poly, [], 2
+    while rest.degree > 0:
+        p += 1
+        if not (p % 2 and is_prime(p) and (not D or legendre(D, p) == 1)):
+            continue
+        g = rest.scale(field.element(math.lcm(*(c.den for c in rest.coeffs))))
+        bound, k, mod = 64 * max(c.p ** 2 + abs(D) * c.q ** 2 for c in g.coeffs), 1, p
+        while mod <= bound:
+            k, mod = k + 1, mod * p
+        r = _hensel_root(D, p, 0, k) if D else 0
+        cs = [(c.p + c.q * r) % mod for c in g.coeffs]
+        if cs[-1] % p == 0:
+            continue
+        counts = _roots_mod([c % p for c in cs], p)
+        if sum(counts.values()) < g.degree:
+            return None
+        if max(counts.values()) >= p:
+            p = max(counts.values())
+            continue
+        nearest = _class_reducer(field, (1 + r) * pow(2, -1, mod) % mod
+                                 if field.half_integer_basis else r, mod)
+        for a, m in counts.items():
+            beta, size = nearest(cs[-1] * _lift(cs, m, a, p, k) % mod)
+            alpha, found = beta / g.lead, 0
+            # size = 4 T2(beta) / deg K < bound / 2 for every root
+            while size < bound // 2 and (q := rest.divide_root(alpha)) is not None:
+                rest, found = q, found + 1
+                roots.append(alpha)
+            if not found and m == 1:
+                return None
+    return SplitPoly(poly.lead, roots, field)

@@ -4,24 +4,28 @@ They are deliberately slow or low-precision and are not part of the
 package: a circle integral and mpmath.polyroots for Mahler measures,
 sympy's factorization for the Kronecker test, the characteristic
 polynomial for the local-maxima product, a direct scan for the minimal
-measure, prime-by-prime valuations for the discrete Gauss norms, and
-SqrtValue's arithmetic on Fractions.
+measure, prime-by-prime valuations for the discrete Gauss norms,
+SqrtValue's arithmetic on Fractions, and split recognition from rounded
+numeric roots and from sympy's factorization.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
+import numpy as np
 import sympy
 
-from polyheight import Field, FieldElement, MahlerValue, SqrtValue, char_poly, int_to_poly
+from polyheight import (Field, FieldElement, MahlerValue, PolyOverK, SplitPoly, SqrtValue,
+                        char_poly, int_to_poly)
 from polyheight.analytic import mahler_measure
 from polyheight.heights import mk_alpha_exact
-from polyheight.intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, ri,
+from polyheight.intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, mpf_to_fraction, ri,
                                   working_precision)
+from polyheight.rootfind import complex_roots
 from polyheight.numutil import factorize, power, rational_sqrt, surd_sign
 from polyheight.valuations import primes_above, valuation
 
@@ -230,3 +234,144 @@ class FractionSqrtValue:
             if inner.lo < 0:
                 inner = RealInterval.hull(0, inner.hi)
             return inner.sqrt()
+
+
+# -- split recognition from numeric roots ------------------------------------
+
+def _round_fraction(x: float, q: int, D: int = 1) -> Fraction:
+    """The point of the 1/q grid nearest x / sqrt(D), in doubles."""
+    return Fraction(round(x / math.sqrt(D) * q), q)
+
+
+def _round_exact(x: Fraction, q: int, D: int = 1) -> Fraction:
+    """The point of the 1/q grid nearest x / sqrt(D), exactly: with
+    t = |q x / sqrt(D)|, floor(t + 1/2) = (floor(2t) + 1) // 2, and
+    floor(2t) = isqrt(floor(4t^2))."""
+    t2 = 4 * q * q * x * x / D
+    k = (math.isqrt(t2.numerator // t2.denominator) + 1) // 2
+    return Fraction(k if x >= 0 else -k, q)
+
+
+class _Centre(NamedTuple):
+    """The exact centre of a certified root box."""
+    real: Fraction
+    imag: Fraction
+
+
+def _verify_candidates(f_scaled: PolyOverK, candidates: set[FieldElement],
+                       original_lead: FieldElement, field: Field) -> SplitPoly | None:
+    current = f_scaled
+    roots: list[FieldElement] = []
+    for alpha in candidates:
+        if alpha.is_zero():
+            continue
+        while True:
+            divided = current.divide_root(alpha)
+            if divided is None:
+                break
+            current = divided
+            roots.append(alpha)
+            if current.degree == 0:
+                break
+        if current.degree == 0:
+            break
+    if current.degree == 0 and len(roots) == f_scaled.degree:
+        return SplitPoly(original_lead, roots, field)
+    return None
+
+
+def _candidates(field: Field, zs1, zs2, q: int, rnd) -> set[FieldElement]:
+    """Field elements with coordinates of denominator q nearest to the
+    approximate roots zs1 of f (first embedding) and, for real quadratic
+    fields, zs2 of its conjugate; rnd(x, q, D) is the point of the 1/q
+    grid nearest x / sqrt(D)."""
+    if field.is_rational:
+        return {field.element(rnd(z.real, q)) for z in zs1}
+    if field.is_imaginary:
+        return {field.element(rnd(z.real, q), rnd(z.imag, q, -field.D)) for z in zs1}
+    return {field.element(rnd((z1.real + z2.real) / 2, q),
+                          rnd((z1.real - z2.real) / 2, q, field.D))
+            for z1 in zs1 for z2 in zs2}
+
+
+def _is_real_quadratic(field: Field) -> bool:
+    return field.is_totally_real and not field.is_rational
+
+
+def _fast_candidates(f: PolyOverK, q: int) -> set[FieldElement] | None:
+    root_d = cmath.sqrt(f.field.D or 0)   # first embedding of sqrt(D)
+
+    def double_roots(g: PolyOverK):
+        arr = np.array([c.p / c.den + c.q / c.den * root_d for c in g.coeffs], dtype=complex)
+        return np.roots(arr[::-1]) if np.all(np.isfinite(arr)) else None
+
+    try:
+        roots1 = double_roots(f)
+        roots2 = double_roots(f.conj()) if _is_real_quadratic(f.field) else ()
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        return None
+    if roots1 is None or roots2 is None:
+        return None
+    return _candidates(f.field, roots1, roots2, q, _round_fraction)
+
+
+def _certified_candidates(f: PolyOverK, q: int, prec: int,
+                          max_prec: int) -> set[FieldElement]:
+    def mid(x) -> Fraction:
+        return (mpf_to_fraction(x.lo) + mpf_to_fraction(x.hi)) / 2
+
+    def certified_roots(g: PolyOverK):
+        return [_Centre(mid(rb.box.re), mid(rb.box.im))
+                for rb in complex_roots(g, target_width=Fraction(1, 8 * q), prec=prec,
+                                        max_prec=max_prec)]
+
+    roots1 = certified_roots(f)
+    roots2 = certified_roots(f.conj()) if _is_real_quadratic(f.field) else ()
+    return _candidates(f.field, roots1, roots2, q, _round_exact)
+
+
+def split_by_rounded_roots(f, field: Field, prec: int = DEFAULT_PREC,
+                          max_prec: int = MAX_PREC) -> SplitPoly | None:
+    """Split recognition as the package did it before p-adic lifting:
+    exact split form of f over the field, or None when some root lies
+    outside the multiplicative group of the field.
+
+    Candidate roots are reconstructed from numeric root enclosures (the
+    coordinates of a root have denominator dividing 2|N(lead)| once the
+    coefficients are scaled to integral coordinates) and verified by
+    exact synthetic division, so a returned SplitPoly is exact.  A
+    CertificationError (isolation failure) is distinct from a not-split
+    result.
+    """
+    if isinstance(f, PolyOverK):
+        poly = f
+        if poly.field != field:
+            raise ValueError("field mismatch")
+    else:
+        poly = int_to_poly(f, field)
+    if poly.degree == 0:
+        return SplitPoly(poly.lead, [], field)
+    if poly.coeffs[0].is_zero():
+        return None  # zero root
+    den = math.lcm(*(c.den for c in poly.coeffs))
+    scaled = poly.scale(field.element(den))
+    lead_norm = scaled.lead.abs_norm()
+    q = 2 * int(lead_norm)
+    cands = _fast_candidates(scaled, q)
+    if cands is not None:
+        result = _verify_candidates(scaled, cands, poly.lead, field)
+        if result is not None:
+            return result
+    cands = _certified_candidates(scaled, q, prec, max_prec)
+    return _verify_candidates(scaled, cands, poly.lead, field)
+
+
+def splits_by_sympy(f: PolyOverK, field: Field) -> bool:
+    """Whether every root of f lies in K^x, from sympy's factorization over
+    K (sympy.factor_list with extension=sqrt(D))."""
+    x = sympy.Symbol("x")
+    r = 0 if field.is_rational else sympy.sqrt(field.D)
+    expr = sum((sympy.Rational(c.p, c.den) + sympy.Rational(c.q, c.den) * r) * x ** i
+               for i, c in enumerate(f.coeffs))
+    _, factors = sympy.factor_list(expr, x, extension=None if field.is_rational else r)
+    return not f.coeffs[0].is_zero() and all(sympy.degree(q, x) == 1 for q, _ in factors)

@@ -44,6 +44,11 @@ def _exact(c, embedding):
     return (a, F(0)), (F(0), b)
 
 
+def _under(f, embedding):
+    """A polynomial whose first embedding is the given embedding of f."""
+    return f.conj() if embedding else f
+
+
 def _horner_exact(vals, z, w2):
     """f(z) for coefficient values (P, Q) and a Gaussian rational z."""
     acc = vals[-1]
@@ -91,7 +96,7 @@ gauss_rationals = st.tuples(st.fractions(min_value=-5, max_value=5, max_denomina
 def test_ball_horner_contains_values_at_rational_points(f, embedding, z, s):
     w2 = _w2(f.field)
     vals = [_exact(c, embedding) for c in f.coeffs]
-    cs = [coeff_ball(c, s, embedding) for c in f.coeffs]
+    cs = [coeff_ball(c, s) for c in _under(f, embedding).coeffs]
     for c, v in zip(cs, vals):
         assert _contains(c, v, s, w2)
     dcs = derivative_balls(cs)
@@ -112,7 +117,7 @@ def test_ball_horner_contains_values_at_rational_points(f, embedding, z, s):
 def test_ball_horner_contains_values_on_discs(f, embedding, z, s, radius, offsets):
     w2 = _w2(f.field)
     vals = [_exact(c, embedding) for c in f.coeffs]
-    cs = [coeff_ball(c, s, embedding) for c in f.coeffs]
+    cs = [coeff_ball(c, s) for c in _under(f, embedding).coeffs]
     dcs = derivative_balls(cs)
     x, y = round(z[0] * (1 << s)), round(z[1] * (1 << s))
     rz = int(radius * (1 << s))
@@ -176,7 +181,7 @@ def _roots_in_disc(roots, x, y, d, s) -> int:
 def test_krawczyk_disc_holds_one_root(f, embedding, s, data):
     f = f.squarefree_decomposition()[0][0]
     roots = _roots400(f, embedding)
-    cs = [coeff_ball(c, s, embedding) for c in f.coeffs]
+    cs = [coeff_ball(c, s) for c in _under(f, embedding).coeffs]
     dcs = derivative_balls(cs)
     with mpmath.workdps(400):
         r = roots[data.draw(st.integers(0, len(roots) - 1))]
@@ -212,7 +217,7 @@ def test_krawczyk_on_small_slopes(s, c0x, c0y, ax, ay, x, y, dabs):
 def test_isolated_discs_hold_the_roots(f, embedding, prec):
     s = prec + GUARD_BITS
     for g, _ in f.squarefree_decomposition():
-        discs = _isolate_squarefree(g, prec, F(1, 1 << (prec // 2)), embedding)
+        discs = _isolate_squarefree(_under(g, embedding), prec, F(1, 1 << (prec // 2)))
         if discs is None:      # not certified at this precision: escalation's job
             continue
         roots = _roots400(g, embedding)

@@ -336,6 +336,20 @@ def test_budgets_exit_3(capsys, argv, message):
     assert code == 3 and message in err and out == ""
 
 
+def test_verify_rejects_a_high_degree_non_split_polynomial(capsys):
+    code, out, err = run_cli(capsys, "verify", "--field", "Q", "--poly", "x^3000-1")
+    assert code == 3 and "does not split" in err and out == ""
+
+
+@pytest.mark.parametrize("mk_args, mk_used", [([], "4"), (["--mk", "1.5"], "3/2")])
+def test_verify_over_a_field_with_minimal_measure_above_3(capsys, mk_args, mk_used):
+    # Q(sqrt(-10)) has no measure in (1, 3]; its minimal measure is 4
+    code, rep, _ = run_json(capsys, "verify", "--field", "Q(sqrt(-10))", "--poly", "x-1",
+                            *mk_args)
+    assert code == 0 and rep["results"]["mk_used"] == mk_used
+    assert rep["verdicts"] == ["holds"] * 5
+
+
 def test_verify_computes_height_and_mk_once(capsys, monkeypatch):
     import sys
     from polyheight import heights, search

@@ -2,16 +2,18 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyheight import (SplitPoly, ck_lower_certify, int_to_poly,
+from polyheight import (PolyOverK, SplitPoly, ck_lower_certify, int_to_poly,
                         lattice_case_check, mahler_measure, mk_search,
                         pell_counterexample, quadratic_field, rationals,
-                        real_case_samples, recognize_split)
+                        real_case_samples, recognize_split, rootfind, search)
+from polyheight.intervals import CertificationError
 from polyheight.polynomials import intpoly_pow
 from polyheight.search import _case1_product
 
 from conftest import ALL_FIELDS, random_split_poly
-from oracles import mk_direct_enumeration
+from oracles import mk_direct_enumeration, split_by_rounded_roots, splits_by_sympy
 
 
 # -- mk_search ---------------------------------------------------------------
@@ -275,8 +277,8 @@ def test_recognize_split_half_integer_roots():
 
 
 def test_recognize_split_large_denominators():
-    # with 17-digit denominators the grid 1/q has q = 2|N(lead)| near 10^35,
-    # beyond double precision; candidates come from exact box centres
+    # 17-digit denominators: a root of x - 1/(M sqrt(D)) has coordinates far
+    # beyond double precision
     M = 100000000000000003
     for D in (-1, -3, 5):
         K = quadratic_field(D)
@@ -305,3 +307,93 @@ def test_recognize_split_scaled_coefficients(rng):
     s = SplitPoly(q2.element(F(3, 7), F(1, 2)), [q2.element(F(1, 3)), q2.element(0, F(2, 3))], q2)
     rec = recognize_split(s.expand(), q2)
     assert rec == s
+
+
+# -- recognize_split against the rounded-root oracle --------------------------
+
+RECOGNIZER_FIELDS = [rationals()] + [quadratic_field(D) for D in (-1, -2, -3, -7, 2, 5, 17)]
+M17 = 100000000000000003
+
+
+@st.composite
+def recognizer_inputs(draw):
+    """A field and a polynomial over it: split with multiplicities 1-3,
+    with half-integer or 15-digit coordinates, x - sqrt(D)/M17, or one of
+    these with a perturbed coefficient, which usually no longer splits."""
+    K = draw(st.sampled_from(RECOGNIZER_FIELDS))
+    kind = draw(st.sampled_from(["small", "half", "wide", "tiny"]))
+    if kind == "tiny":
+        roots = [K.one() / M17 if K.is_rational else K.element(0, F(1, M17))]
+        lead = K.one()
+    else:
+        if kind == "wide":
+            coord = st.integers(-10 ** 15, 10 ** 15)
+        elif kind == "half":
+            coord = st.integers(-9, 9).map(lambda n: F(2 * n + 1, 2))
+        else:
+            coord = st.fractions(-6, 6, max_denominator=4)
+        roots = []
+        for _ in range(draw(st.integers(1, 3 if kind == "wide" else 4))):
+            b = draw(coord) if K.degree == 2 and draw(st.booleans()) else 0
+            x = K.element(draw(coord), b)
+            if x:
+                roots += [x] * draw(st.integers(1, 3))
+        lead = K.element(draw(st.integers(1, 5)), draw(st.integers(-2, 2)) if K.degree == 2 else 0)
+    cs = list(SplitPoly(lead, roots, K).expand().coeffs) if roots else [lead]
+    if len(cs) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(cs) - 2))
+        cs[i] = cs[i] + K.element(draw(st.integers(-3, 3).filter(bool)),
+                                  draw(st.integers(-1, 1)) if K.degree == 2 else 0)
+    return K, PolyOverK(cs, K)
+
+
+@settings(max_examples=400, deadline=None)
+@given(recognizer_inputs())
+def test_recognize_split_matches_rounded_root_oracle(case):
+    K, f = case
+    rec = recognize_split(f, K)
+    try:
+        assert rec == split_by_rounded_roots(f, K, max_prec=1024)
+    except CertificationError:
+        # the oracle stops at 1024 bits: some near-double roots of 15-digit
+        # size over Q(sqrt(17)) are not isolated even at 4096; sympy decides
+        assert (rec is not None) == splits_by_sympy(f, K)
+
+
+def test_recognize_split_needs_every_lifted_digit():
+    # 15-digit roots whose lead * alpha is not determined mod P^(k-1), one
+    # p-adic digit below the lifting bound (found by a scan of such roots)
+    for D, lead, roots in ((-7, (5, 0), [(F(-56618397692850, 11), 373175644907245)]),
+                           (-7, (4, -2), [(-331627216854281, 48804559115132), (-1, 0)]),
+                           (5, (3, 2), [(F(93304328205355, 3), 614859373277899)]),
+                           (5, (4, -1), [(195200009642034, -433576834349464)]),
+                           (-3, (1, -2), [(F(-886434495066854, 7), 505527498415982)])):
+        K = quadratic_field(D)
+        s = SplitPoly(K.element(*lead), [K.element(*r) for r in roots], K)
+        assert recognize_split(s.expand(), K) == s
+
+
+def test_recognize_split_high_degree(monkeypatch):
+    # primes no larger than the largest multiplicity mod p are skipped in
+    # one step: (x - 1)^200 is lifted at 211, right after 3
+    primes = []
+    real = search._roots_mod
+    monkeypatch.setattr(search, "_roots_mod", lambda cs, p: primes.append(p) or real(cs, p))
+    q = rationals()
+    for roots, first_primes in (([1] * 200, [3, 211]), ([1] * 100 + [-1] * 100, [3, 101]),
+                                (range(1, 101), [3, 37])):
+        primes.clear()
+        s = SplitPoly(q.one(), [q.element(r) for r in roots], q)
+        assert recognize_split(s.expand(), q) == s
+        assert primes[:2] == first_primes
+
+
+def test_recognize_split_needs_no_root_isolation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("root isolation entered")
+    monkeypatch.setattr(rootfind, "isolate_roots", refuse)
+    q2, q5 = quadratic_field(-2), quadratic_field(5)
+    assert recognize_split([4, 0, -4, 0, -3, 0, 2, 0, 1], q2) is not None
+    assert recognize_split([1, 0, 1], q5) is None
+    assert recognize_split([-1] + [0] * 2999 + [1], rationals()) is None
+    assert ck_lower_certify([5, 0, -6, 0, 1], q5, 2)[0].sum_abs == 12

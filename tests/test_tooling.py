@@ -1,6 +1,7 @@
 """Source-level checks: the benchmark's layer tracer imports
 polyheight.<layer> for each name in its LAYERS, so every such module must
-exist; and the height, bound and search modules use no prime-by-prime API."""
+exist; the height, bound and search modules use no prime-by-prime API; and
+search decides splitting exactly, without floats or root isolation."""
 import ast
 import importlib
 from pathlib import Path
@@ -37,3 +38,12 @@ def test_heights_bounds_and_searches_use_no_primes():
                 for a in node.names}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not used & PRIME_API, (name, used & PRIME_API)
+
+
+def test_search_imports_neither_numpy_nor_rootfind():
+    src = Path(__file__).resolve().parent.parent / "src" / "polyheight" / "search.py"
+    tree = ast.parse(src.read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {name.rpartition(".")[2] for name in imported} & {"numpy", "rootfind"}
