@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactreal import SqrtValue
-from .intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, escalate, ri,
-                        working_precision)
+from .intervals import DEFAULT_PREC, MAX_PREC, RealInterval, escalate, ri
 from .polynomials import PolyOverK, SplitPoly, as_poly
 from .rootfind import isolate_roots
 from .verdicts import (BoundCheck, INCONCLUSIVE, interval_verdict,
@@ -55,12 +54,11 @@ def mahler_worker(f) -> Callable[[int], RealInterval | None]:
         roots = isolate_roots(factors, p)
         if roots is None:
             return None
-        with working_precision(p):
-            lead = lead_abs.to_interval(p)
-            acc = lead
-            for rb in roots:
-                acc = acc * abs(rb.box).maximum(1) ** rb.multiplicity
-            return acc.clamp_below(lead.lo)
+        lead = lead_abs.to_interval(p)
+        acc = lead
+        for rb in roots:
+            acc = acc * abs(rb.box).maximum(1) ** rb.multiplicity
+        return acc.clamp_below(lead.lo)
     return at
 
 
@@ -139,9 +137,8 @@ def check_complexmahler(f, prec: int = DEFAULT_PREC,
         m = measure(p)
         if m is None:
             return None
-        with working_precision(p):
-            lhs = lhs_sv.to_interval(p)
-            rhs = m * ri(scale).sqrt()
+        lhs = lhs_sv.to_interval(p)
+        rhs = m * ri(scale, p).sqrt()
         return BoundCheck("complexmahler", lhs, rhs, interval_verdict(lhs, rhs),
                           margin_of(lhs, rhs))
 

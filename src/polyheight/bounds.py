@@ -21,8 +21,7 @@ from .analytic import check_complexmahler, mahler_measure, mahler_worker
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement
 from .heights import SplitRecord, height, mk_alpha_exact, split_record
-from .intervals import (DEFAULT_PREC, escalate, mpf_to_fraction, ri,
-                        working_precision)
+from .intervals import DEFAULT_PREC, escalate, mpf_to_fraction, ri
 from .numutil import cyclotomic_orders
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
                           intpoly_graeffe, is_primitive_int)
@@ -92,10 +91,9 @@ def check_bound1(s: SplitPoly | SplitRecord, mk, prec: int = DEFAULT_PREC) -> Bo
     lhs_sv = hrep.height_power_exact() * SqrtValue.sqrt_of_rational(Fraction((n + 1) ** d))
     rhs_sv = SqrtValue.of_rational(mk_frac ** (n - r))
     verdict = sign_verdict(lhs_sv.compare(rhs_sv))
-    with working_precision(prec):
-        lhs_iv = hrep.log_height
-        rhs_iv = (ri(mk_frac).log() * Fraction(n - r, d)
-                  - ri(Fraction(n + 1)).log() * Fraction(1, 2))
+    lhs_iv = hrep.log_height
+    rhs_iv = (ri(mk_frac, prec).log() * Fraction(n - r, d)
+              - ri(n + 1, prec).log() * Fraction(1, 2))
     return BoundCheck("bound1", lhs_iv, rhs_iv, verdict,
                       margin_of(lhs_iv, rhs_iv), exact=True)
 
@@ -122,9 +120,8 @@ def check_bound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundC
     lhs_sv = hrep.height_power_exact(w) * SqrtValue.of_rational(Fraction((n + 1) ** (d * w)))
     rhs_sv = SqrtValue.of_rational(Fraction(2 ** (r * d)))
     verdict = sign_verdict(lhs_sv.compare(rhs_sv))
-    with working_precision(prec):
-        lhs_iv = hrep.log_height
-        rhs_iv = (ri(2).log() * Fraction(r, w) - ri(Fraction(n + 1)).log())
+    lhs_iv = hrep.log_height
+    rhs_iv = ri(2, prec).log() * Fraction(r, w) - ri(n + 1, prec).log()
     return BoundCheck("bound2", lhs_iv, rhs_iv, verdict,
                       margin_of(lhs_iv, rhs_iv), exact=True)
 
@@ -138,12 +135,11 @@ def combined_bound_check(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundChe
         raise ValueError("mk must exceed 1")
     n, d, w = s.degree, s.field.degree, s.field.unity_order
     hrep = height(s, prec)
-    with working_precision(prec):
-        log2 = ri(2).log()
-        logmk = ri(mk_frac).log()
-        logn1 = ri(Fraction(n + 1)).log()
-        lhs = (w / log2 + d / logmk) * hrep.log_height
-        rhs = n - (w / (log2 * 2) + d / logmk) * logn1
+    log2 = ri(2, prec).log()
+    logmk = ri(mk_frac, prec).log()
+    logn1 = ri(n + 1, prec).log()
+    lhs = (w / log2 + d / logmk) * hrep.log_height
+    rhs = n - (w / (log2 * 2) + d / logmk) * logn1
     return BoundCheck("combined", lhs, rhs, interval_verdict(lhs, rhs),
                       margin_of(lhs, rhs))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .intervals import DEFAULT_PREC, RealInterval, ri, working_precision
+from .intervals import DEFAULT_PREC, RealInterval, ri
 from .numutil import power, rational_sqrt, surd_sign
 
 
@@ -179,14 +179,13 @@ class SqrtValue:
         return rational_sqrt(self.u)
 
     def to_interval(self, prec: int = DEFAULT_PREC) -> RealInterval:
-        with working_precision(prec):
-            inner = RealInterval.from_fraction(self.u)
-            if self.D is not None:
-                inner = inner + RealInterval.from_fraction(self.v) * ri(self.D).sqrt()
-            if inner.lo < 0:
-                # directed rounding may dip below an exact zero boundary
-                inner = RealInterval.hull(0, inner.hi)
-            return inner.sqrt()
+        inner = RealInterval.from_fraction(self.u, prec)
+        if self.D is not None:
+            inner = inner + RealInterval.from_fraction(self.v, prec) * ri(self.D, prec).sqrt()
+        if inner.lo < 0:
+            # directed rounding may dip below an exact zero boundary
+            inner = RealInterval.hull(0, inner.hi, prec)
+        return inner.sqrt()
 
     def __float__(self) -> float:
         return self.to_interval(64).mid

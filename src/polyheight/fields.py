@@ -12,9 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
-from .intervals import DEFAULT_PREC, ComplexBox, RealInterval, ri, working_precision
+from .intervals import DEFAULT_PREC, ComplexBox, RealInterval, ri
 from .numutil import is_squarefree, power, surd_sign
 
 # |D| budget: is_squarefree factors D, and Pollard rho splits a balanced
@@ -247,17 +245,13 @@ class FieldElement:
 
     def embeddings(self, prec: int = DEFAULT_PREC) -> list[ComplexBox]:
         """The d complex embeddings as boxes (conjugate pair for d = 2)."""
-        with working_precision(prec):
-            a = RealInterval.from_fraction(self.a)
-            if self.field.is_rational:
-                return [ComplexBox(a._v, iv.mpf(0))]
-            b = RealInterval.from_fraction(self.b)
-            rootD = ri(abs(self.field.D)).sqrt()
-            if self.field.D > 0:
-                return [ComplexBox((a + b * rootD)._v, iv.mpf(0)),
-                        ComplexBox((a - b * rootD)._v, iv.mpf(0))]
-            return [ComplexBox(a._v, (b * rootD)._v),
-                    ComplexBox(a._v, (-b * rootD)._v)]
+        a, zero = RealInterval.from_fraction(self.a, prec), ri(0, prec)
+        if self.field.is_rational:
+            return [ComplexBox(a, zero)]
+        b_rootD = RealInterval.from_fraction(self.b, prec) * ri(abs(self.field.D), prec).sqrt()
+        if self.field.D > 0:
+            return [ComplexBox(a + b_rootD, zero), ComplexBox(a - b_rootD, zero)]
+        return [ComplexBox(a, b_rootD), ComplexBox(a, -b_rootD)]
 
     def __repr__(self) -> str:
         return f"FieldElement({self.a}, {self.b}, {self.field})"
@@ -286,8 +280,6 @@ def embed(x: FieldElement, field: Field | None = None, prec: int = DEFAULT_PREC)
     """Embedding boxes of x; field must agree with x.field when given."""
     if field is not None and field != x.field:
         raise ValueError("field mismatch")
-    if prec < 32:
-        raise ValueError("precision must be at least 32 bits")
     return x.embeddings(prec)
 
 

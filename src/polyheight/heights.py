@@ -15,7 +15,7 @@ from fractions import Fraction
 from .analytic import MahlerValue, arch_gauss_exact
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, roots_of_unity
-from .intervals import DEFAULT_PREC, RealInterval, working_precision
+from .intervals import DEFAULT_PREC, RealInterval
 from .numutil import rational_sqrt
 from .polynomials import PolyOverK, SplitPoly
 from .valuations import local_max_product, nonarch_gauss_product
@@ -50,11 +50,10 @@ def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     d = poly.field.degree
     arch_sv = arch_gauss_exact(poly)
     hd_sv = SqrtValue.of_rational(nonarch) * arch_sv
-    with working_precision(prec):
-        hd_iv = hd_sv.to_interval(prec)
-        h_iv = hd_iv if d == 1 else hd_iv.sqrt()
-        h_iv = h_iv.clamp_below(1)  # H(f)^d >= prod_v |lead|_v = 1
-        log_iv = hd_iv.log() / d
+    hd_iv = hd_sv.to_interval(prec)
+    h_iv = hd_iv if d == 1 else hd_iv.sqrt()
+    h_iv = h_iv.clamp_below(1)  # H(f)^d >= prod_v |lead|_v = 1
+    log_iv = hd_iv.log() / d
     hd_rat = hd_sv.as_rational()
     exact = None
     if hd_rat is not None:

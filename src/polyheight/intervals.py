@@ -1,19 +1,22 @@
 """Directed-rounded real intervals and complex boxes.
 
-Thin wrappers over ``mpmath.iv`` so that every enclosure in the library
-carries its own endpoints and shrinks under precision escalation.  The
-working precision is the ambient ``mpmath.iv`` precision; use
-:func:`working_precision` to scope it, and :func:`escalate`, the one
-precision-escalation loop, to retry a computation at doubled precision.
+Every enclosure carries its endpoints and its own precision, and its
+arithmetic runs on mpmath's interval kernels at that precision, so no
+result depends on process-global state.  :func:`escalate`, the one
+precision-escalation loop, retries a computation at doubled precision;
+:func:`working_precision` scopes mpmath's own context precision for the
+mpmath routines (``polyroots``) that read it.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, TypeVar
 
 import mpmath
-from mpmath import iv
+from mpmath.libmp import (from_float, from_int, mpf_add, mpf_le, mpf_lt, mpf_mul,
+                          mpf_shift, mpf_sub, mpi_abs, mpi_add, mpi_div, mpi_log, mpi_mul,
+                          mpi_neg, mpi_pow_int, mpi_sqrt, mpi_sub, round_ceiling, round_floor,
+                          round_nearest, round_up, to_float)
 
 MIN_PREC = 32
 DEFAULT_PREC = 256
@@ -45,18 +48,10 @@ def mpf_to_fraction(x: mpmath.mpf, floor_bits: int | None = None) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-@contextmanager
 def working_precision(bits: int):
-    """Temporarily set the interval working precision (checked), in bits."""
-    check_precision(bits)
-    old_iv, old_mp = iv.prec, mpmath.mp.prec
-    iv.prec = bits
-    mpmath.mp.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old_iv
-        mpmath.mp.prec = old_mp
+    """A context that sets mpmath's own working precision (checked), in
+    bits; enclosures never read it."""
+    return mpmath.workprec(check_precision(bits))
 
 
 def escalate(attempt: Callable[[int], T | None], start: int = DEFAULT_PREC,
@@ -84,131 +79,142 @@ def escalate(attempt: Callable[[int], T | None], start: int = DEFAULT_PREC,
 
 
 class RealInterval:
-    """A closed interval [lo, hi] with directed-rounded endpoints."""
+    """A closed interval [lo, hi]: a libmp endpoint pair with its own
+    precision in bits.  Each operation rounds outward through mpmath's
+    interval kernels (``mpmath.libmp.libmpi``) at the larger precision of
+    its operands; ints, Fractions, floats and mpfs enter rounded outward
+    at that precision."""
 
-    __slots__ = ("_v",)
+    __slots__ = ("_v", "prec")
 
-    def __init__(self, v):
-        if not isinstance(v, iv.mpf):
-            v = iv.mpf(v)
+    def __init__(self, v: tuple, prec: int):
         self._v = v
+        self.prec = check_precision(prec)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, q: Fraction | int) -> "RealInterval":
-        if isinstance(q, int):
-            return cls(iv.mpf(q))
-        return cls(iv.mpf(q.numerator) / iv.mpf(q.denominator))
+    def from_fraction(cls, q: Fraction | int, prec: int = DEFAULT_PREC) -> "RealInterval":
+        return cls(_endpoints(q, prec), prec)
 
     @classmethod
-    def hull(cls, lo, hi) -> "RealInterval":
-        return cls(iv.mpf([lo, hi]))
+    def hull(cls, lo, hi, prec: int = DEFAULT_PREC) -> "RealInterval":
+        """[lo, hi] with lo rounded down and hi rounded up at prec."""
+        a, b = _endpoints(lo, prec)[0], _endpoints(hi, prec)[1]
+        if mpf_lt(b, a):
+            raise ValueError("endpoints must be properly ordered")
+        return cls((a, b), prec)
 
     # -- accessors ----------------------------------------------------
 
     @property
     def lo(self) -> mpmath.mpf:
-        """The lower endpoint, exactly (not re-rounded to the ambient precision)."""
-        return mpmath.mp.make_mpf(self._v._mpi_[0])
+        """The lower endpoint, exactly."""
+        return mpmath.mp.make_mpf(self._v[0])
 
     @property
     def hi(self) -> mpmath.mpf:
         """The upper endpoint, exactly."""
-        return mpmath.mp.make_mpf(self._v._mpi_[1])
+        return mpmath.mp.make_mpf(self._v[1])
 
     @property
     def width(self) -> float:
-        return float(mpmath.mpf(self._v.delta))
+        """hi - lo, rounded up to 53 bits."""
+        return to_float(mpf_sub(self._v[1], self._v[0], 53, round_up))
 
     @property
     def mid(self) -> float:
-        return float(mpmath.mpf(self._v.mid))
+        return to_float(mpf_shift(mpf_add(*self._v, 53, round_nearest), -1))
 
     def __contains__(self, x) -> bool:
-        if isinstance(x, Fraction):
-            return self._contains_exact(x)
-        return x in self._v
-
-    def _contains_exact(self, q: Fraction) -> bool:
-        # endpoint-exact containment test for rationals
-        return mpf_to_fraction(self.lo) <= q <= mpf_to_fraction(self.hi)
+        """Exact membership of an int, Fraction, float or mpf."""
+        q = mpf_to_fraction(x) if isinstance(x, mpmath.mpf) else Fraction(x)
+        (lo, hi), num, den = self._v, from_int(q.numerator), from_int(q.denominator)
+        return mpf_le(mpf_mul(lo, den), num) and mpf_le(num, mpf_mul(hi, den))
 
     def overlaps(self, other: "RealInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RealInterval):
-            return x._v
-        if isinstance(x, Fraction):
-            return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-        return iv.mpf(x)
+    def _apply(self, kernel, other, swap: bool = False) -> "RealInterval":
+        o = ri(other, self.prec)
+        prec = max(self.prec, o.prec)
+        return RealInterval(kernel(o._v, self._v, prec) if swap else kernel(self._v, o._v, prec),
+                            prec)
 
     def __add__(self, other):
-        return RealInterval(self._v + self._coerce(other))
+        return self._apply(mpi_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return RealInterval(self._v - self._coerce(other))
+        return self._apply(mpi_sub, other)
 
     def __rsub__(self, other):
-        return RealInterval(self._coerce(other) - self._v)
+        return self._apply(mpi_sub, other, swap=True)
 
     def __mul__(self, other):
-        return RealInterval(self._v * self._coerce(other))
+        return self._apply(mpi_mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return RealInterval(self._v / self._coerce(other))
+        return self._apply(mpi_div, other)
 
     def __rtruediv__(self, other):
-        return RealInterval(self._coerce(other) / self._v)
+        return self._apply(mpi_div, other, swap=True)
 
     def __neg__(self):
-        return RealInterval(-self._v)
+        return RealInterval(mpi_neg(self._v, self.prec), self.prec)
 
     def __pow__(self, k: int):
-        return RealInterval(self._v ** k)
+        return RealInterval(mpi_pow_int(self._v, k, self.prec), self.prec)
 
     def __abs__(self):
-        return RealInterval(abs(self._v))
+        return RealInterval(mpi_abs(self._v, self.prec), self.prec)
 
     def sqrt(self) -> "RealInterval":
-        return RealInterval(iv.sqrt(self._v))
+        return RealInterval(mpi_sqrt(self._v, self.prec), self.prec)
 
     def log(self) -> "RealInterval":
-        return RealInterval(iv.log(self._v))
+        return RealInterval(mpi_log(self._v, self.prec), self.prec)
 
     def maximum(self, other) -> "RealInterval":
-        o = other if isinstance(other, RealInterval) else RealInterval(self._coerce(other))
-        return RealInterval.hull(max(self.lo, o.lo), max(self.hi, o.hi))
+        o = ri(other, self.prec)
+        return RealInterval.hull(max(self.lo, o.lo), max(self.hi, o.hi), max(self.prec, o.prec))
 
     def clamp_below(self, bound) -> "RealInterval":
         """Intersect with [bound, inf); bound must be a proven lower bound."""
-        blo = RealInterval(self._coerce(bound)).lo
-        if self.hi < blo:
+        b = ri(bound, self.prec)
+        if self.hi < b.lo:
             raise ValueError("enclosure entirely below proven bound")
-        return RealInterval.hull(max(self.lo, blo), self.hi)
+        return RealInterval.hull(max(self.lo, b.lo), self.hi, max(self.prec, b.prec))
 
     def __repr__(self) -> str:
         return f"RealInterval({mpmath.nstr(self.lo, 20)}, {mpmath.nstr(self.hi, 20)})"
 
-    def __str__(self) -> str:
-        return str(self._v)
 
-
-def ri(x) -> RealInterval:
-    """Shorthand constructor."""
-    if isinstance(x, RealInterval):
-        return x
+def _endpoints(x, prec: int) -> tuple:
+    """x as a libmp endpoint pair rounded outward at prec, as mpmath's
+    interval context converts it: an int, float or mpf directly, and a
+    Fraction as its numerator's interval divided by its denominator's."""
     if isinstance(x, Fraction):
-        return RealInterval.from_fraction(x)
-    return RealInterval(iv.mpf(x))
+        if x.denominator != 1:
+            return mpi_div(_endpoints(x.numerator, prec), _endpoints(x.denominator, prec), prec)
+        x = x.numerator
+    if isinstance(x, int):
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+    if isinstance(x, float):
+        return from_float(x, prec, round_floor), from_float(x, prec, round_ceiling)
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_, x._mpf_
+    raise TypeError(f"cannot enclose {type(x).__name__}")
+
+
+def ri(x, prec: int = DEFAULT_PREC) -> RealInterval:
+    """Shorthand constructor: x itself when it is an interval already."""
+    return x if isinstance(x, RealInterval) else RealInterval(_endpoints(x, prec), prec)
 
 
 class ComplexBox:
@@ -216,9 +222,8 @@ class ComplexBox:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im):
-        self.re = ri(re)
-        self.im = ri(im)
+    def __init__(self, re: RealInterval, im: RealInterval):
+        self.re, self.im = re, im
 
     @property
     def width(self) -> float:
@@ -232,4 +237,3 @@ class ComplexBox:
 
     def __repr__(self) -> str:
         return f"ComplexBox({self.re!r}, {self.im!r})"
-

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import iv
 from mpmath.libmp import from_man_exp
 
 from .fields import FieldElement
@@ -186,10 +185,11 @@ def _coincide(centres: list[tuple[int, int, int]], s: int, prec: int) -> bool:
     return False
 
 
-def _disc_box(x: int, y: int, d: int, s: int) -> ComplexBox:
-    """The bounding square of the disc (x, y, d), with exact endpoints."""
+def _disc_box(x: int, y: int, d: int, s: int, prec: int) -> ComplexBox:
+    """The bounding square of the disc (x, y, d), with exact endpoints, as
+    intervals at working precision prec."""
     def side(m: int) -> RealInterval:
-        return RealInterval(iv.make_mpf((from_man_exp(m - d, -s), from_man_exp(m + d, -s))))
+        return RealInterval((from_man_exp(m - d, -s), from_man_exp(m + d, -s)), prec)
     return ComplexBox(side(x), side(y))
 
 
@@ -242,7 +242,7 @@ def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
         discs = _isolate_squarefree(g, prec, target)
         if discs is None:
             return None
-        out.extend(RootBox(_disc_box(x, y, d, s), mult) for x, y, d in discs)
+        out.extend(RootBox(_disc_box(x, y, d, s, prec), mult) for x, y, d in discs)
     return out
 
 

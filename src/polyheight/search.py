@@ -185,8 +185,7 @@ def _case1_product(alpha: FieldElement, field: Field) -> Fraction:
             * (field.one() + alpha * alpha).abs_norm())
 
 
-def real_case_samples(field: Field, samples: int, prec: int = DEFAULT_PREC,
-                      seed: int = 0) -> list[SampleCheck]:
+def real_case_samples(field: Field, samples: int, seed: int = 0) -> list[SampleCheck]:
     """For random nonzero alpha in a totally real field, check exactly
     that prod_p max(1,|alpha|^2_p) * prod_sigma |1+alpha^2|_sigma >= 2^d."""
     if not field.is_totally_real:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement
-from .intervals import DEFAULT_PREC, RealInterval, working_precision
+from .intervals import DEFAULT_PREC, RealInterval
 from .numutil import disc_symbol, factorize, is_prime, sqrt_mod_prime, vp
 
 INFINITE = math.inf  # valuation of zero, signaled distinctly
@@ -210,12 +210,11 @@ def product_formula_check(x: FieldElement, field: Field,
         raise ValueError("product formula applies to nonzero elements")
     nonarch = math.prod((abs_at(x, pr) for pr in primes_above(element_support(x), field)),
                         start=Fraction(1))
-    with working_precision(prec):
-        arch = RealInterval.from_fraction(1)
-        for box in x.embeddings(prec):
-            arch = arch * abs(box)
-        product = arch * RealInterval.from_fraction(nonarch)
-        holds = Fraction(1) in product
+    arch = RealInterval.from_fraction(1, prec)
+    for box in x.embeddings(prec):
+        arch = arch * abs(box)
+    product = arch * nonarch
+    holds = 1 in product
     # exact cross-check: the archimedean product is |N(x)| exactly
     assert nonarch * x.abs_norm() == 1, "product formula violated exactly"
     return ProductFormulaReport(x, nonarch, arch, product, holds)

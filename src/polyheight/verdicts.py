@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from mpmath.libmp import mpf_sub, round_nearest, to_float
+
 from .intervals import RealInterval
 
 HOLDS = "holds"
@@ -46,4 +48,5 @@ def sign_verdict(sign: int) -> str:
 
 
 def margin_of(lhs: RealInterval, rhs: RealInterval) -> float:
-    return float(lhs.lo - rhs.hi)
+    """lhs.lo - rhs.hi, rounded to nearest at 53 bits."""
+    return to_float(mpf_sub(lhs.lo._mpf_, rhs.hi._mpf_, 53, round_nearest))

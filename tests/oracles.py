@@ -23,8 +23,7 @@ from polyheight import (Field, FieldElement, MahlerValue, PolyOverK, SplitPoly, 
                         char_poly, int_to_poly)
 from polyheight.analytic import mahler_measure
 from polyheight.heights import mk_alpha_exact
-from polyheight.intervals import (DEFAULT_PREC, MAX_PREC, RealInterval, mpf_to_fraction, ri,
-                                  working_precision)
+from polyheight.intervals import DEFAULT_PREC, MAX_PREC, RealInterval, mpf_to_fraction, ri
 from polyheight.rootfind import complex_roots
 from polyheight.numutil import factorize, power, rational_sqrt, surd_sign
 from polyheight.valuations import primes_above, valuation
@@ -227,13 +226,12 @@ class FractionSqrtValue:
         return rational_sqrt(self.u)
 
     def to_interval(self, prec: int = DEFAULT_PREC) -> RealInterval:
-        with working_precision(prec):
-            inner = RealInterval.from_fraction(self.u)
-            if self.D is not None:
-                inner = inner + RealInterval.from_fraction(self.v) * ri(self.D).sqrt()
-            if inner.lo < 0:
-                inner = RealInterval.hull(0, inner.hi)
-            return inner.sqrt()
+        inner = RealInterval.from_fraction(self.u, prec)
+        if self.D is not None:
+            inner = inner + RealInterval.from_fraction(self.v, prec) * ri(self.D, prec).sqrt()
+        if inner.lo < 0:
+            inner = RealInterval.hull(0, inner.hi, prec)
+        return inner.sqrt()
 
 
 # -- split recognition from numeric roots ------------------------------------

@@ -6,15 +6,17 @@ containment is decided exactly (numutil.surd_sign).  Roots come from
 mpmath.polyroots at 400 digits.  Small scales s make every rounding term
 count.
 """
-from contextlib import contextmanager
+import io
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction as F
 
 import mpmath
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from polyheight import (PolyOverK, complex_roots, mahler_measure, quadratic_field,
-                        rationals)
+from polyheight import (PolyOverK, complex_roots, height, mahler_measure,
+                        product_formula_check, quadratic_field, rationals)
+from polyheight.cli import main
 from polyheight.numutil import surd_sign
 from polyheight.rootfind import (GUARD_BITS, _isolate_squarefree, _krawczyk, ball_horner,
                                  coeff_ball, derivative_balls)
@@ -253,3 +255,36 @@ def test_results_do_not_depend_on_ambient_precision(f):
     with _ambient(1000):
         high = _endpoints(f)
     assert low == high
+
+
+def _enclosures(f):
+    """Endpoints of the height report of f, of the display enclosures of
+    its archimedean part, and of the product formula at its lead."""
+    def ends(x):
+        return x.lo, x.hi, x.width, x.mid
+    h = height(f)
+    pf = product_formula_check(f.lead, f.field)
+    return ([ends(x) for x in (h.arch, h.height, h.log_height, pf.arch, pf.product)]
+            + [ends(h.arch_exact.to_interval(p)) for p in (64, 256, 1000)] + [pf.holds])
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys(max_degree=6))
+def test_enclosures_do_not_depend_on_ambient_precision(f):
+    with _ambient(53):
+        low = _enclosures(f)
+    with _ambient(1000):
+        high = _enclosures(f)
+    assert low == high
+
+
+def test_verify_json_does_not_depend_on_ambient_precision():
+    argv = ["verify", "--all", "--json", "--field", "Q(sqrt(-2))",
+            "--poly", "x^8+2x^6-3x^4-4x^2+4"]
+    outs = []
+    for bits in (53, 1000):
+        buf = io.StringIO()
+        with _ambient(bits), redirect_stdout(buf):
+            assert main(argv) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1]

@@ -7,7 +7,7 @@ import pytest
 
 from polyheight import cli, numutil, valuations
 from polyheight.cli import _interval_json, _interval_text, main
-from polyheight.intervals import RealInterval, working_precision
+from polyheight.intervals import RealInterval
 
 
 def run_cli(capsys, *argv):
@@ -250,8 +250,7 @@ def test_certification_failure_exits_2(capsys):
 def test_printed_enclosures_round_outward():
     for q in (Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3), Fraction(-2, 3),
               Fraction(10 ** 40, 3), Fraction(1, 3 * 10 ** 9), Fraction(4)):
-        with working_precision(256):
-            enc = RealInterval.from_fraction(q)
+        enc = RealInterval.from_fraction(q, 256)
         lo, hi = (Fraction(t) for t in _interval_json(enc))
         assert lo <= q <= hi
         assert hi - lo <= abs(q) / 10 ** 28

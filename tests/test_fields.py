@@ -5,7 +5,6 @@ import pytest
 
 from polyheight import (embed, make_field, quadratic_field, rationals,
                         roots_of_unity)
-from polyheight.intervals import working_precision
 
 from conftest import ALL_FIELDS, random_element
 

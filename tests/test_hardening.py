@@ -10,8 +10,9 @@ from polyheight import (PolyOverK, SplitPoly, check_complexmahler,
                         ck_lower_certify, complex_roots, height, mahler_measure,
                         quadratic_field, rationals, recognize_split,
                         roots_of_unity, split_prime, valuation)
+import polyheight as ph
 from polyheight.gauss_lattice import is_coprime
-from polyheight.intervals import RealInterval, mpf_to_fraction, working_precision
+from polyheight.intervals import RealInterval, mpf_to_fraction
 
 from oracles import nonarch_gauss_by_primes
 
@@ -138,11 +139,35 @@ def test_mpf_fraction_roundtrip():
 def test_endpoints_exact_outside_precision_scope():
     # endpoints are read exactly, not re-rounded at mpmath's ambient 53 bits
     for q in (F(1, 3), F(-2, 7), F(10 ** 40, 3)):
-        with working_precision(256):
-            enc = RealInterval.from_fraction(q)
+        enc = RealInterval.from_fraction(q, 256)
         assert q in enc
         assert mpf_to_fraction(enc.lo) <= q <= mpf_to_fraction(enc.hi)
         assert 0 < mpf_to_fraction(enc.hi) - mpf_to_fraction(enc.lo) <= abs(q) / 2 ** 250
+
+
+_K = quadratic_field(-1)
+_X = _K.element(F(3, 2), -2)
+_S = SplitPoly(_K.element(2), [_X, _K.element(1), _K.element(0, 1)], _K)
+PRECISION_ENTRIES = {
+    "height": lambda p: ph.height(_S, p),
+    "split_record": lambda p: ph.split_record(_S, p),
+    "check_alphabound1": lambda p: ph.check_alphabound1(_S, p),
+    "check_bound1": lambda p: ph.check_bound1(_S, 2, p),
+    "check_alphabound2": lambda p: ph.check_alphabound2(_S, p),
+    "check_bound2": lambda p: ph.check_bound2(_S, p),
+    "SqrtValue.to_interval": lambda p: ph.SqrtValue.sqrt_of_rational(F(7, 3)).to_interval(p),
+    "FieldElement.embeddings": lambda p: _X.embeddings(p),
+    "embed": lambda p: ph.embed(_X, prec=p),
+    "product_formula_check": lambda p: ph.product_formula_check(_X, _K, p),
+    "mk_search": lambda p: ph.mk_search(_K, 3, p),
+}
+
+
+@pytest.mark.parametrize("bits", [16, 8192])
+@pytest.mark.parametrize("entry", sorted(PRECISION_ENTRIES))
+def test_precision_outside_the_supported_range_is_refused(entry, bits):
+    with pytest.raises(ValueError):
+        PRECISION_ENTRIES[entry](bits)
 
 
 def test_height_of_torsion_products_is_one():

@@ -1,9 +1,11 @@
 """Source-level checks: the benchmark's layer tracer imports
 polyheight.<layer> for each name in its LAYERS, so every such module must
-exist; the height, bound and search modules use no prime-by-prime API; and
-search decides splitting exactly, without floats or root isolation."""
+exist, and it wraps and restores the names it binds; the height, bound and
+search modules use no prime-by-prime API; and search decides splitting
+exactly, without floats or root isolation."""
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -22,6 +24,36 @@ def test_traced_layers_are_modules():
     assert "gauss_lattice" in layers
     for name in layers:
         importlib.import_module(f"polyheight.{name}")
+
+
+def test_tracer_wraps_and_restores_the_names_it_binds():
+    # the tracer reads these names with no fallback, so renaming one
+    # breaks the benchmark's traced run
+    from polyheight import cli, intervals, rootfind
+    from polyheight.polynomials import PolyOverK, SplitPoly
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+
+    def bound():
+        return {"intervals.working_precision": intervals.working_precision,
+                "rootfind.working_precision": rootfind.working_precision,
+                "SplitPoly.expand": vars(SplitPoly)["expand"],
+                "PolyOverK.gcd": vars(PolyOverK)["gcd"],
+                **{f"cli._CHECKS[{k}]": v for k, v in cli._CHECKS.items()}}
+
+    before = bound()
+    assert before["rootfind.working_precision"] is before["intervals.working_precision"]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        wrapped = bound()
+    finally:
+        tracer.uninstall()
+    assert not [name for name, fn in wrapped.items() if fn is before[name]]
+    after = bound()
+    assert after.keys() == before.keys()
+    assert all(after[name] is fn for name, fn in before.items())
 
 
 PRIME_FREE = ("heights", "bounds", "search", "gauss_lattice")
