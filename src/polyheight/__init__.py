@@ -2,7 +2,7 @@
 polynomials over Q and quadratic fields, with certified inequality
 checks and constructive searches."""
 
-from .analytic import (MahlerValue, arch_gauss_product, check_complexmahler,
+from .analytic import (MahlerValue, arch_gauss_exact, check_complexmahler,
                        mahler_measure)
 from .bounds import (BoundCheck, CkInterval, MahlerFloor, T2Constant,
                      alphabound2_root_factor, check_alphabound1,
@@ -14,7 +14,7 @@ from .fields import (Field, FieldElement, embed, make_field, quadratic_field,
                      rationals, roots_of_unity)
 from .gauss_lattice import LatticeReport, is_coprime, lattice_case_check
 from .heights import (CharPoly, HeightReport, SplitRecord, char_poly,
-                      count_unity_roots, height, mk_alpha, mk_alpha_exact,
+                      count_unity_roots, height, mk_alpha_exact,
                       split_record)
 from .intervals import DEFAULT_PREC, MAX_PREC, ComplexBox, RealInterval
 from .polynomials import PolyOverK, SplitPoly, int_to_poly

@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactreal import SqrtValue
+from .fields import Field
 from .intervals import DEFAULT_PREC, MAX_PREC, RealInterval, escalate, ri
 from .polynomials import PolyOverK, SplitPoly, as_poly
-from .rootfind import isolate_roots
-from .verdicts import (BoundCheck, INCONCLUSIVE, interval_verdict,
-                       margin_of, sign_verdict)
+from .rootfind import check_isolation_degree, isolate_roots
+from .verdicts import BoundCheck, INCONCLUSIVE, exact_check, interval_check
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ def mahler_worker(f) -> Callable[[int], RealInterval | None]:
     from roots isolated at p bits, or to None when they could not be
     isolated at p.  Hand it to ``intervals.escalate``."""
     poly = as_poly(f)
+    check_isolation_degree(poly)
     lead_abs = SqrtValue.abs_sigma1(poly.lead)
     factors = poly.squarefree_decomposition()
 
@@ -85,28 +86,21 @@ def mahler_sigma1_exact_split(s: SplitPoly) -> SqrtValue:
     acc = SqrtValue.abs_sigma1(s.lead)
     one = SqrtValue.one()
     for r in s.roots:
-        m = SqrtValue.abs_sigma1(r)
-        acc = acc * (m if m.compare(one) > 0 else one)
+        acc = acc * max(SqrtValue.abs_sigma1(r), one)
     return acc
 
 
-def arch_gauss_exact(f: PolyOverK) -> SqrtValue:
-    """prod_sigma max_i |sigma(a_i)| as an exact quadratic surd."""
-    field = f.field
+def arch_gauss_exact(f, field: Field) -> SqrtValue:
+    """prod_sigma max_i |sigma(a_i)| as an exact quadratic surd, for the
+    coefficients a_i of f (a PolyOverK or a sequence of field elements)."""
+    coeffs = getattr(f, "coeffs", f)
     if field.is_rational:
-        return SqrtValue.of_rational(max(abs(c.a) for c in f.coeffs))
+        return SqrtValue.of_rational(max(abs(c.a) for c in coeffs))
     if field.is_imaginary:
-        return SqrtValue.of_rational(max(c.norm() for c in f.coeffs))
-    best1 = max(SqrtValue.abs_sigma1(c) for c in f.coeffs)
-    best2 = max(SqrtValue.abs_sigma1(c.conj()) for c in f.coeffs)
+        return SqrtValue.of_rational(max(c.norm() for c in coeffs))
+    best1 = max(SqrtValue.abs_sigma1(c) for c in coeffs)
+    best2 = max(SqrtValue.abs_sigma1(c.conj()) for c in coeffs)
     return best1 * best2
-
-
-def arch_gauss_product(f: PolyOverK, field=None, prec: int = DEFAULT_PREC) -> RealInterval:
-    """Certified enclosure of prod_sigma max_i |sigma(a_i)|."""
-    if field is not None and field != f.field:
-        raise ValueError("field mismatch")
-    return arch_gauss_exact(f).to_interval(prec)
 
 
 def _gauss_norm_sigma1_exact(f: PolyOverK) -> SqrtValue:
@@ -124,10 +118,8 @@ def check_complexmahler(f, prec: int = DEFAULT_PREC,
         n = f.degree
         lhs_sv = _gauss_norm_sigma1_exact(f.expand())
         rhs_sv = mahler_sigma1_exact_split(f) * SqrtValue.sqrt_of_rational(Fraction(1, n + 1))
-        lhs_iv, rhs_iv = lhs_sv.to_interval(prec), rhs_sv.to_interval(prec)
-        return BoundCheck("complexmahler", lhs_iv, rhs_iv,
-                          sign_verdict(lhs_sv.compare(rhs_sv)),
-                          margin_of(lhs_iv, rhs_iv), exact=True)
+        return exact_check("complexmahler", lhs_sv, rhs_sv,
+                           lhs_sv.to_interval(prec), rhs_sv.to_interval(prec))
     poly = as_poly(f)
     lhs_sv = _gauss_norm_sigma1_exact(poly)
     scale = Fraction(1, poly.degree + 1)
@@ -139,7 +131,6 @@ def check_complexmahler(f, prec: int = DEFAULT_PREC,
             return None
         lhs = lhs_sv.to_interval(p)
         rhs = m * ri(scale, p).sqrt()
-        return BoundCheck("complexmahler", lhs, rhs, interval_verdict(lhs, rhs),
-                          margin_of(lhs, rhs))
+        return interval_check("complexmahler", lhs, rhs)
 
     return escalate(at, prec, max_prec, conclusive=lambda c: c.verdict != INCONCLUSIVE)

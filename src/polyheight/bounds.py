@@ -26,8 +26,7 @@ from .numutil import cyclotomic_orders
 from .polynomials import (SplitPoly, has_unit_mahler, int_to_poly,
                           intpoly_graeffe, is_primitive_int)
 from .valuations import local_max_product
-from .verdicts import (BoundCheck, interval_verdict, margin_of,
-                       sign_verdict)
+from .verdicts import BoundCheck, exact_check, interval_check
 
 __all__ = [
     "BoundCheck", "CkInterval", "MahlerFloor", "T2Constant",
@@ -37,30 +36,25 @@ __all__ = [
 ]
 
 
-def alphabound2_root_factor(alpha: FieldElement, field: Field) -> Fraction:
-    """prod_p max(1,|alpha|^w_p) * prod_sigma |1+alpha^w|_sigma, exact.
+def alphabound2_root_factor(alpha: FieldElement, field: Field,
+                            exponent: int | None = None) -> Fraction:
+    """prod_p max(1,|alpha|^e_p) * prod_sigma |1+alpha^e|_sigma, exact, for
+    the exponent e, by default the field's w.
 
-    The archimedean part over all embeddings is |N(1 + alpha^w)|.
-    At least 1 for every nonzero alpha; exactly 2^d when alpha is a root
-    of unity.
+    The archimedean part over all embeddings is |N(1 + alpha^e)|.
+    At least 1 for every nonzero alpha when e = w; exactly 2^d when alpha
+    is a root of unity.
     """
     if alpha.is_zero():
         raise ValueError("factor requires a nonzero element")
-    w = field.unity_order
-    nonarch = local_max_product(alpha, field, exponent=w)
-    return nonarch * (field.one() + alpha ** w).abs_norm()
+    e = field.unity_order if exponent is None else exponent
+    return local_max_product(alpha, field, e) * (field.one() + alpha ** e).abs_norm()
 
 
 def _distinct_roots(s: SplitPoly):
     """(root, multiplicity) pairs; SplitPoly sorts its roots, so equal
     roots are adjacent."""
     return ((r, sum(1 for _ in g)) for r, g in itertools.groupby(s.roots))
-
-
-def _report(name: str, lhs_sv: SqrtValue, rhs_sv: SqrtValue, prec: int) -> BoundCheck:
-    lhs_iv, rhs_iv = lhs_sv.to_interval(prec), rhs_sv.to_interval(prec)
-    return BoundCheck(name, lhs_iv, rhs_iv, sign_verdict(lhs_sv.compare(rhs_sv)),
-                      margin_of(lhs_iv, rhs_iv), exact=True)
 
 
 def check_alphabound1(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
@@ -72,7 +66,7 @@ def check_alphabound1(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> B
     rhs = SqrtValue.sqrt_of_rational(Fraction(1, (n + 1) ** d))
     for r, m in _distinct_roots(s):
         rhs = rhs * mk_alpha_exact(r, s.field) ** m
-    return _report("alphabound1", lhs, rhs, prec)
+    return exact_check("alphabound1", lhs, rhs, lhs.to_interval(prec), rhs.to_interval(prec))
 
 
 def check_bound1(s: SplitPoly | SplitRecord, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
@@ -90,12 +84,9 @@ def check_bound1(s: SplitPoly | SplitRecord, mk, prec: int = DEFAULT_PREC) -> Bo
     # exact form: H^d * (n+1)^(d/2) >= mk^(n-r)
     lhs_sv = hrep.height_power_exact() * SqrtValue.sqrt_of_rational(Fraction((n + 1) ** d))
     rhs_sv = SqrtValue.of_rational(mk_frac ** (n - r))
-    verdict = sign_verdict(lhs_sv.compare(rhs_sv))
-    lhs_iv = hrep.log_height
     rhs_iv = (ri(mk_frac, prec).log() * Fraction(n - r, d)
               - ri(n + 1, prec).log() * Fraction(1, 2))
-    return BoundCheck("bound1", lhs_iv, rhs_iv, verdict,
-                      margin_of(lhs_iv, rhs_iv), exact=True)
+    return exact_check("bound1", lhs_sv, rhs_sv, hrep.log_height, rhs_iv)
 
 
 def check_alphabound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
@@ -107,7 +98,8 @@ def check_alphabound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> B
     rhs_q = Fraction(1, (n + 1) ** (d * w))
     for r, m in _distinct_roots(s):
         rhs_q *= alphabound2_root_factor(r, s.field) ** m
-    return _report("alphabound2", lhs, SqrtValue.of_rational(rhs_q), prec)
+    rhs = SqrtValue.of_rational(rhs_q)
+    return exact_check("alphabound2", lhs, rhs, lhs.to_interval(prec), rhs.to_interval(prec))
 
 
 def check_bound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundCheck:
@@ -119,11 +111,8 @@ def check_bound2(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> BoundC
     # exact form: H^(dw) * (n+1)^(dw) >= 2^(rd)
     lhs_sv = hrep.height_power_exact(w) * SqrtValue.of_rational(Fraction((n + 1) ** (d * w)))
     rhs_sv = SqrtValue.of_rational(Fraction(2 ** (r * d)))
-    verdict = sign_verdict(lhs_sv.compare(rhs_sv))
-    lhs_iv = hrep.log_height
     rhs_iv = ri(2, prec).log() * Fraction(r, w) - ri(n + 1, prec).log()
-    return BoundCheck("bound2", lhs_iv, rhs_iv, verdict,
-                      margin_of(lhs_iv, rhs_iv), exact=True)
+    return exact_check("bound2", lhs_sv, rhs_sv, hrep.log_height, rhs_iv)
 
 
 def combined_bound_check(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundCheck:
@@ -140,8 +129,7 @@ def combined_bound_check(s: SplitPoly, mk, prec: int = DEFAULT_PREC) -> BoundChe
     logn1 = ri(n + 1, prec).log()
     lhs = (w / log2 + d / logmk) * hrep.log_height
     rhs = n - (w / (log2 * 2) + d / logmk) * logn1
-    return BoundCheck("combined", lhs, rhs, interval_verdict(lhs, rhs),
-                      margin_of(lhs, rhs))
+    return interval_check("combined", lhs, rhs)
 
 
 @dataclass(frozen=True)

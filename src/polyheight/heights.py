@@ -1,10 +1,12 @@
 """Global polynomial heights, characteristic polynomials, and the local
 Mahler-type quantity attached to a single field element.
 
-H(f)^d is the product of the discrete Gauss norms (exact rational) with
-the archimedean ones (exact quadratic surd), so heights compare exactly;
-enclosures are reported at any precision and the d-th root is recognized
-as an exact rational whenever it is one.
+H(f)^d is the product over all places v of max_i |a_i|_v: the discrete
+Gauss norms (exact rational) times the archimedean ones (exact quadratic
+surd), so heights compare exactly; enclosures are reported at any
+precision and the d-th root is recognized as an exact rational whenever
+it is one.  The local quantity M_K(alpha) is the same product for the
+coefficients (1, alpha).
 """
 from __future__ import annotations
 
@@ -12,13 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import MahlerValue, arch_gauss_exact
+from .analytic import arch_gauss_exact
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, roots_of_unity
 from .intervals import DEFAULT_PREC, RealInterval
 from .numutil import rational_sqrt
 from .polynomials import PolyOverK, SplitPoly
-from .valuations import local_max_product, nonarch_gauss_product
+from .valuations import nonarch_gauss_product
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     poly = f.expand() if isinstance(f, SplitPoly) else f
     nonarch = nonarch_gauss_product(poly, poly.field)
     d = poly.field.degree
-    arch_sv = arch_gauss_exact(poly)
+    arch_sv = arch_gauss_exact(poly, poly.field)
     hd_sv = SqrtValue.of_rational(nonarch) * arch_sv
     hd_iv = hd_sv.to_interval(prec)
     h_iv = hd_iv if d == 1 else hd_iv.sqrt()
@@ -102,30 +104,13 @@ def char_poly(alpha: FieldElement, field: Field | None = None) -> CharPoly:
 
 
 def mk_alpha_exact(alpha: FieldElement, field: Field | None = None) -> SqrtValue:
-    """prod_p max(1,|alpha|_p) * prod_sigma max(1,|alpha|_sigma), exact."""
+    """M_K(alpha) = prod_v max(1, |alpha|_v) over all places, exact: the
+    place product of the Gauss norms of (1, alpha), that is H(x - alpha)^d.
+    It equals 1 exactly iff alpha is zero or a root of unity."""
     fld = field or alpha.field
-    if alpha.is_zero():
-        return SqrtValue.one()
-    nonarch = local_max_product(alpha, fld)
-    if fld.is_rational:
-        arch = SqrtValue.of_rational(max(Fraction(1), abs(alpha.a)))
-    elif fld.is_imaginary:
-        arch = SqrtValue.of_rational(max(Fraction(1), alpha.norm()))
-    else:
-        one = SqrtValue.one()
-        p1 = max(SqrtValue.abs_sigma1(alpha), one)
-        p2 = max(SqrtValue.abs_sigma1(alpha.conj()), one)
-        arch = p1 * p2
-    return SqrtValue.of_rational(nonarch) * arch
-
-
-def mk_alpha(alpha: FieldElement, field: Field | None = None,
-             prec: int = DEFAULT_PREC) -> MahlerValue:
-    """The local-maxima product for alpha; equals 1 exactly iff alpha is
-    zero or a root of unity."""
-    fld = field or alpha.field
-    sv = mk_alpha_exact(alpha, fld)
-    return MahlerValue(sv.to_interval(prec), fld.degree)
+    coeffs = (fld.one(), alpha)
+    return (SqrtValue.of_rational(nonarch_gauss_product(coeffs, fld))
+            * arch_gauss_exact(coeffs, fld))
 
 
 def count_unity_roots(s: SplitPoly) -> int:

@@ -43,6 +43,9 @@ from .intervals import CertificationError  # noqa: F401  (raised by complex_root
 from .polynomials import PolyOverK, as_poly
 
 GUARD_BITS = 32   # scale bits above the working precision
+# Root-isolation budget: on a 2-core host, `mahler` of x^n - x - 1 takes
+# about 6 s at n = 600 and about 10 s at n = 750
+MAX_ISOLATION_DEGREE = 750
 
 Ball = tuple[int, int, int]   # (x, y, r): the disc about (x + iy) 2^-s of radius r 2^-s
 
@@ -246,6 +249,13 @@ def isolate_roots(factors: list[tuple[PolyOverK, int]], prec: int,
     return out
 
 
+def check_isolation_degree(poly: PolyOverK) -> None:
+    """Refuse a polynomial above the root-isolation budget, before any work."""
+    if poly.degree > MAX_ISOLATION_DEGREE:
+        raise ValueError(f"degree {poly.degree} exceeds the root-isolation budget "
+                         f"of MAX_ISOLATION_DEGREE = {MAX_ISOLATION_DEGREE}")
+
+
 def complex_roots(f, target_width=None, prec: int = DEFAULT_PREC,
                   max_prec: int = MAX_PREC) -> list[RootBox]:
     """All complex roots of f (under the first embedding), as certified
@@ -257,6 +267,7 @@ def complex_roots(f, target_width=None, prec: int = DEFAULT_PREC,
     poly = as_poly(f)
     if poly.degree == 0:
         return []
+    check_isolation_degree(poly)
     factors = poly.squarefree_decomposition()
     roots = escalate(lambda p: isolate_roots(factors, p, target_width), prec, max_prec)
     assert sum(r.multiplicity for r in roots) == poly.degree

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .analytic import MahlerValue
+from .bounds import alphabound2_root_factor
 from .exactreal import SqrtValue
 from .fields import Field, FieldElement, quadratic_field
 from .heights import CharPoly, mk_alpha_exact
@@ -20,7 +21,7 @@ from .intervals import DEFAULT_PREC, mpf_to_fraction
 from .numutil import is_perfect_square, is_prime, legendre
 from .polynomials import (PolyOverK, SplitPoly, int_to_poly, intpoly_mul,
                           is_primitive_int)
-from .valuations import _hensel_root, local_max_product
+from .valuations import _hensel_root
 
 MK_SEARCH_MAX_CAP = 4.0
 # Python prints an int of at most 4300 digits (sys.get_int_max_str_digits),
@@ -180,11 +181,6 @@ class SampleCheck:
     holds: bool
 
 
-def _case1_product(alpha: FieldElement, field: Field) -> Fraction:
-    return (local_max_product(alpha, field, exponent=2)
-            * (field.one() + alpha * alpha).abs_norm())
-
-
 def real_case_samples(field: Field, samples: int, seed: int = 0) -> list[SampleCheck]:
     """For random nonzero alpha in a totally real field, check exactly
     that prod_p max(1,|alpha|^2_p) * prod_sigma |1+alpha^2|_sigma >= 2^d."""
@@ -199,7 +195,7 @@ def real_case_samples(field: Field, samples: int, seed: int = 0) -> list[SampleC
         alpha = field.element(a, b)
         if alpha.is_zero():
             continue
-        value = _case1_product(alpha, field)
+        value = alphabound2_root_factor(alpha, field, 2)
         out.append(SampleCheck(alpha, value, threshold, value >= threshold))
     return out
 
@@ -250,7 +246,7 @@ def pell_counterexample(d: int) -> PellWitness:
     b, c = _pell_fundamental(d)
     gamma = field.element(0, c)
     alpha = field.element(b) / gamma
-    product = _case1_product(alpha, field)
+    product = alphabound2_root_factor(alpha, field, 2)
     assert product <= 1
     return PellWitness(d, b, c, alpha, product)
 

@@ -34,19 +34,21 @@ class BoundCheck:
         return self.verdict == HOLDS
 
 
-def interval_verdict(lhs: RealInterval, rhs: RealInterval) -> str:
-    if lhs.lo >= rhs.hi:
-        return HOLDS
-    if lhs.hi < rhs.lo:
-        return FAILS
-    return INCONCLUSIVE
-
-
-def sign_verdict(sign: int) -> str:
-    """Verdict from an exact three-way comparison of lhs - rhs."""
-    return HOLDS if sign >= 0 else FAILS
-
-
 def margin_of(lhs: RealInterval, rhs: RealInterval) -> float:
     """lhs.lo - rhs.hi, rounded to nearest at 53 bits."""
     return to_float(mpf_sub(lhs.lo._mpf_, rhs.hi._mpf_, 53, round_nearest))
+
+
+def interval_check(name: str, lhs: RealInterval, rhs: RealInterval) -> BoundCheck:
+    """The check lhs >= rhs decided by the endpoint rule on its enclosures."""
+    verdict = HOLDS if lhs.lo >= rhs.hi else FAILS if lhs.hi < rhs.lo else INCONCLUSIVE
+    return BoundCheck(name, lhs, rhs, verdict, margin_of(lhs, rhs))
+
+
+def exact_check(name: str, lhs, rhs, lhs_iv: RealInterval,
+                rhs_iv: RealInterval) -> BoundCheck:
+    """The check lhs >= rhs decided by the exact comparison of the two
+    sides (SqrtValues), reported with lhs_iv and rhs_iv, the enclosures
+    of the inequality in its displayed form."""
+    return BoundCheck(name, lhs_iv, rhs_iv, HOLDS if lhs.compare(rhs) >= 0 else FAILS,
+                      margin_of(lhs_iv, rhs_iv), exact=True)

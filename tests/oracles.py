@@ -3,8 +3,9 @@
 They are deliberately slow or low-precision and are not part of the
 package: a circle integral and mpmath.polyroots for Mahler measures,
 sympy's factorization for the Kronecker test, the characteristic
-polynomial for the local-maxima product, a direct scan for the minimal
-measure, prime-by-prime valuations for the discrete Gauss norms,
+polynomial and a formula per kind of field for the local-maxima product,
+a direct scan for the minimal measure, prime-by-prime valuations and the
+denominator ideal for the discrete Gauss norms,
 SqrtValue's arithmetic on Fractions, and split recognition from rounded
 numeric roots and from sympy's factorization.
 """
@@ -26,7 +27,7 @@ from polyheight.heights import mk_alpha_exact
 from polyheight.intervals import DEFAULT_PREC, MAX_PREC, RealInterval, mpf_to_fraction, ri
 from polyheight.rootfind import complex_roots
 from polyheight.numutil import factorize, power, rational_sqrt, surd_sign
-from polyheight.valuations import primes_above, valuation
+from polyheight.valuations import ideal_norm, primes_above, valuation
 
 
 def mahler_via_integral(coeffs: Sequence[int | float | Fraction], npoints: int = 4096) -> float:
@@ -133,6 +134,34 @@ def local_max_by_primes(x: FieldElement, field: Field, exponent: int = 1) -> Fra
         if v < 0:
             out *= Fraction(pr.residue_norm) ** (-v * exponent)
     return out
+
+
+def local_max_by_denominator(x: FieldElement, field: Field, exponent: int = 1) -> Fraction:
+    """prod_P max(1, |x|_P)^exponent as den^d / N((den, den x)), from the
+    norm of the denominator ideal of x, with 1 for integral x."""
+    if x.is_integral():
+        return Fraction(1)
+    den = field.element(x.den)
+    return Fraction(x.den ** field.degree, ideal_norm([den, x * den])) ** exponent
+
+
+def mk_alpha_by_branches(alpha: FieldElement, field: Field) -> SqrtValue:
+    """M_K(alpha) with one archimedean formula per kind of field: max(1, |a|)
+    over Q, max(1, N(alpha)) for imaginary K, the product of
+    max(1, |sigma(alpha)|) over both embeddings for real K; times the
+    local maxima product of the denominator ideal."""
+    if alpha.is_zero():
+        return SqrtValue.one()
+    nonarch = local_max_by_denominator(alpha, field)
+    if field.is_rational:
+        arch = SqrtValue.of_rational(max(Fraction(1), abs(alpha.a)))
+    elif field.is_imaginary:
+        arch = SqrtValue.of_rational(max(Fraction(1), alpha.norm()))
+    else:
+        one = SqrtValue.one()
+        arch = (max(SqrtValue.abs_sigma1(alpha), one)
+                * max(SqrtValue.abs_sigma1(alpha.conj()), one))
+    return SqrtValue.of_rational(nonarch) * arch
 
 
 class FractionSqrtValue:

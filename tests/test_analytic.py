@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from polyheight import (PolyOverK, SplitPoly, arch_gauss_product,
+from polyheight import (DEFAULT_PREC, PolyOverK, SplitPoly, arch_gauss_exact,
                         check_complexmahler, int_to_poly, mahler_measure,
                         quadratic_field, rationals)
 from polyheight.analytic import mahler_sigma1_exact_split
@@ -90,17 +90,17 @@ def test_mahler_integral_cross_check():
 def test_arch_gauss_examples():
     qi = quadratic_field(-1)
     p1 = PolyOverK([qi.element(-1, -1), qi.one()], qi)
-    assert float(arch_gauss_product(p1).lo) == 2.0
+    assert float(arch_gauss_exact(p1, qi).to_interval(DEFAULT_PREC).lo) == 2.0
     q = rationals()
-    assert float(arch_gauss_product(int_to_poly([-1, 2])).lo) == 2.0
+    assert float(arch_gauss_exact(int_to_poly([-1, 2]), q).to_interval(DEFAULT_PREC).lo) == 2.0
     q2 = quadratic_field(2)
     p2 = PolyOverK([q2.element(-1, -1), q2.one()], q2)
-    iv = arch_gauss_product(p2)
+    iv = arch_gauss_exact(p2, q2).to_interval(DEFAULT_PREC)
     assert abs(iv.mid - 2.414213562373095) < 1e-12
     # rational coefficients: (max |a_i|)^d exactly
     for field in ALL_FIELDS.values():
         f = int_to_poly([3, -7, 2], field)
-        assert F(7 ** field.degree) in arch_gauss_product(f, field)
+        assert F(7 ** field.degree) in arch_gauss_exact(f, field).to_interval(DEFAULT_PREC)
 
 
 def test_check_complexmahler_examples():

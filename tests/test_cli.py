@@ -8,6 +8,7 @@ import pytest
 from polyheight import cli, numutil, valuations
 from polyheight.cli import _interval_json, _interval_text, main
 from polyheight.intervals import RealInterval
+from polyheight.rootfind import MAX_ISOLATION_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -329,6 +330,7 @@ def test_semiprime_denominators_need_no_factoring(capsys, factored):
     (["pell", "--d", str(N)], "budget of 10^18"),
     (["height", "--field", f"Q(sqrt({N}))", "--poly", "x"], "budget of 10^18"),
     (["mk", "--field", f"Q(sqrt(-{N}))"], "budget of 10^18"),
+    (["mahler", "--poly", f"x^{MAX_ISOLATION_DEGREE + 1}-x-1"], "MAX_ISOLATION_DEGREE"),
 ])
 def test_budgets_exit_3(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

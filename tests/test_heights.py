@@ -2,14 +2,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyheight import (PolyOverK, SplitPoly, char_poly, count_unity_roots,
-                        height, int_to_poly, mk_alpha, mk_alpha_exact,
+                        height, int_to_poly, mk_alpha_exact,
                         quadratic_field, rationals, roots_of_unity)
+from polyheight.intervals import DEFAULT_PREC
 from polyheight.polynomials import intpoly_pow
+from polyheight.valuations import local_max_product
 
 from conftest import ALL_FIELDS, random_element, random_split_poly
-from oracles import mk_alpha_via_charpoly
+from oracles import local_max_by_denominator, mk_alpha_by_branches, mk_alpha_via_charpoly
 
 
 def test_height_examples():
@@ -97,7 +100,7 @@ def test_mk_alpha_examples():
             assert mk_alpha_exact(zeta, field).is_one()
     assert mk_alpha_exact(qi.element(1, 1)) == 2
     assert mk_alpha_exact(qi.element(2)) == 4
-    assert float(mk_alpha(qi.element(1, 1)).lo) == 2.0
+    assert float(mk_alpha_exact(qi.element(1, 1)).to_interval(DEFAULT_PREC).lo) == 2.0
     assert mk_alpha_exact(qi.element(0)).is_one()
 
 
@@ -121,9 +124,33 @@ def test_mk_alpha_route_agreement(rng):
     for field in ALL_FIELDS.values():
         for _ in range(1000):
             x = random_element(rng, field, nonzero=False)
-            direct = mk_alpha(x, field)
+            direct = mk_alpha_exact(x, field).to_interval(DEFAULT_PREC)
             via_cp = mk_alpha_via_charpoly(x, field)
-            assert direct.enclosure.overlaps(via_cp.enclosure)
+            assert direct.overlaps(via_cp.enclosure)
+
+
+BRANCH_FIELDS = [rationals()] + [quadratic_field(D) for D in (-1, -2, -3, -7, -10, 2, 5, 13, 17)]
+
+
+@st.composite
+def field_elements(draw):
+    """A field and an element of it with numerators up to 10^12 and
+    denominators up to 10^6 (zero and integral elements included)."""
+    K = draw(st.sampled_from(BRANCH_FIELDS))
+    num, den = st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6)
+    b = F(draw(num), draw(den)) if K.degree == 2 else 0
+    return K, K.element(F(draw(num), draw(den)), b)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(field_elements())
+def test_one_height_matches_the_formulas_it_replaced(case):
+    # M_K(alpha) = H(x - alpha)^d and the local maxima as the Gauss norm of
+    # (1, alpha), against the per-kind archimedean branches and den^d / N((den, den x))
+    K, x = case
+    assert mk_alpha_exact(x, K) == mk_alpha_by_branches(x, K)
+    for e in (1, 2, K.unity_order):
+        assert local_max_product(x, K, e) == local_max_by_denominator(x, K, e)
 
 
 def test_count_unity_roots_examples():

@@ -6,7 +6,8 @@ import pytest
 import polyheight.analytic as analytic
 from polyheight import (PolyOverK, check_complexmahler, complex_roots, int_to_poly,
                         mahler_measure, quadratic_field)
-from polyheight.rootfind import CertificationError, isolate_roots
+from polyheight.rootfind import (MAX_ISOLATION_DEGREE, CertificationError,
+                                 check_isolation_degree, isolate_roots)
 
 CLUSTER_2_40 = [1 + F(1, 2 ** 40), -(2 + F(1, 2 ** 40)), 1]   # roots 2^-40 apart
 
@@ -125,3 +126,16 @@ def test_precision_out_of_range_rejected(prec):
         check_complexmahler(CLUSTER_2_40, prec=prec)
     with pytest.raises(ValueError):
         complex_roots(CLUSTER_2_40, prec=prec)
+
+
+def test_isolation_degree_budget(monkeypatch):
+    # checked before any work: the squarefree decomposition never runs
+    def no_work(self):
+        raise AssertionError("squarefree decomposition ran")
+
+    monkeypatch.setattr(PolyOverK, "squarefree_decomposition", no_work)
+    over = int_to_poly([-1, -1] + [0] * (MAX_ISOLATION_DEGREE - 1) + [1])   # x^(B+1) - x - 1
+    for compute in (complex_roots, mahler_measure, check_complexmahler):
+        with pytest.raises(ValueError, match="MAX_ISOLATION_DEGREE"):
+            compute(over)
+    check_isolation_degree(int_to_poly([-1, -1] + [0] * (MAX_ISOLATION_DEGREE - 2) + [1]))

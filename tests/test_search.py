@@ -4,13 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyheight import (PolyOverK, SplitPoly, ck_lower_certify, int_to_poly,
-                        lattice_case_check, mahler_measure, mk_search,
+from polyheight import (PolyOverK, SplitPoly, alphabound2_root_factor, ck_lower_certify,
+                        int_to_poly, lattice_case_check, mahler_measure, mk_search,
                         pell_counterexample, quadratic_field, rationals,
                         real_case_samples, recognize_split, rootfind, search)
 from polyheight.intervals import CertificationError
 from polyheight.polynomials import intpoly_pow
-from polyheight.search import _case1_product
 
 from conftest import ALL_FIELDS, random_split_poly
 from oracles import mk_direct_enumeration, split_by_rounded_roots, splits_by_sympy
@@ -172,9 +171,9 @@ def test_lattice_pair_budget():
 
 def test_real_case_spec_values():
     q5 = quadratic_field(5)
-    assert _case1_product(q5.one(), q5) == 4           # equality case
-    assert _case1_product(q5.element(0, 1), q5) == 36  # alpha = sqrt 5
-    assert _case1_product(q5.element(0, F(1, 5)), q5) == 36  # alpha = 1/sqrt 5
+    assert alphabound2_root_factor(q5.one(), q5, 2) == 4                 # equality case
+    assert alphabound2_root_factor(q5.element(0, 1), q5, 2) == 36        # alpha = sqrt 5
+    assert alphabound2_root_factor(q5.element(0, F(1, 5)), q5, 2) == 36  # alpha = 1/sqrt 5
 
 
 def test_real_case_samples():

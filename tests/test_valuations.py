@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from polyheight import (PolyOverK, int_to_poly, nonarch_gauss_product,
                         product_formula_check, quadratic_field, rationals,
                         split_prime, valuation)
-from polyheight.valuations import (INFINITE, _hensel_root, abs_at, element_support,
-                                   ideal_norm, local_max_product, primes_above)
+from polyheight.valuations import (INFINITE, MAX_FACTORED, _hensel_root, abs_at,
+                                   element_support, ideal_norm, local_max_product,
+                                   primes_above)
 
 from conftest import ALL_FIELDS, random_element
 from oracles import local_max_by_primes, nonarch_gauss_by_primes
@@ -246,6 +247,18 @@ def test_product_formula_examples():
     assert r.holds
     with pytest.raises(ValueError):
         product_formula_check(q.element(0), q)
+
+
+def test_product_formula_factoring_budget():
+    # the denominator and the norm numerator are factored, so each is held
+    # to MAX_FACTORED before any factoring
+    qi = quadratic_field(-1)
+    x = qi.element(F(123456789012345678901234567, 98765432109876543210), 1)
+    with pytest.raises(ValueError, match="MAX_FACTORED"):
+        product_formula_check(x, qi)
+    with pytest.raises(ValueError, match="MAX_FACTORED"):
+        product_formula_check(qi.element(10 ** 9 + 7, 10 ** 9), qi)   # norm above 10^18
+    assert product_formula_check(rationals().element(F(1, MAX_FACTORED)), rationals()).holds
 
 
 def test_product_formula_random(rng):
