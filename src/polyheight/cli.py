@@ -23,8 +23,6 @@ import sys
 import traceback
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__
 from .analytic import check_complexmahler, mahler_measure
 from .bounds import (check_alphabound1, check_alphabound2, check_bound1,
@@ -58,15 +56,25 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _decimal_text(d: decimal.Decimal, digits: int) -> str:
+    """d, of at most `digits` significant digits, in mpmath.nstr's layout:
+    fixed notation when min(-(digits // 3), -5) < exponent < digits,
+    trailing zeros stripped, "0.0" for zero."""
+    if not d:
+        return "0.0"
+    fixed = min(-(digits // 3), -5) < d.adjusted() < digits
+    mantissa, _, exponent = format(d, "f" if fixed else "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return f"{whole}.{frac.rstrip('0') or '0'}" + (f"e{exponent}" if exponent else "")
+
+
 def _interval_json(iv: RealInterval, digits: int = 30) -> list[str]:
-    """[lo, hi] rounded outward to `digits` significant digits, in
-    mpmath.nstr's format."""
+    """[lo, hi] rounded outward to `digits` significant digits."""
     out = []
     for x, rounding in ((iv.lo, decimal.ROUND_FLOOR), (iv.hi, decimal.ROUND_CEILING)):
         q = mpf_to_fraction(x)
         d = decimal.Context(prec=digits, rounding=rounding).divide(q.numerator, q.denominator)
-        with mpmath.workdps(digits + 10):   # d has `digits` digits: nstr keeps it exactly
-            out.append(mpmath.nstr(mpmath.mpf(str(d)), digits))
+        out.append(_decimal_text(d, digits))
     return out
 
 

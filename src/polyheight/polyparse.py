@@ -1,7 +1,13 @@
 """Parsers for the CLI input grammar (fields and polynomials).
 
-Whitespace-insensitive recursive descent with position-annotated errors.
-Grammar (EBNF, also documented in the README):
+A polynomial is split into tokens once, by one compiled regular
+expression (digit runs, "sqrt", single operator characters, and any
+other non-space character as a token of its own), and a recursive
+descent runs over the token list.  Each power's coefficient accumulates
+as an integer triple (p, q, den) for (p + q sqrt(D)) / den, and one
+field element per power is built at the end.  Token positions are
+computed only for an error message.  The grammar (EBNF, also documented
+in the README) is whitespace-insensitive:
 
     field    = "Q" | "Q(sqrt(" sint "))"
     poly     = [sign] term { sign term }
@@ -16,20 +22,24 @@ Grammar (EBNF, also documented in the README):
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
-from .fields import Field, FieldElement, make_field
+from .fields import Field, _reduced, make_field
 from .polynomials import PolyOverK
 
 # Budgets, each checked before the work it bounds.  A polynomial is
 # stored densely, one coefficient per power up to its degree, so an
-# exponent is checked before anything is allocated for it (parsing takes
-# about 1.4 s per 10^6 powers).
+# exponent is checked before anything is allocated for it (parsing a
+# dense polynomial of 10 001 powers takes about 30 ms).
 MAX_EXPONENT = 10_000
 # Python converts decimal strings of at most 4300 digits to int
 # (sys.get_int_max_str_digits); every integer in the input is held to
 # the same bound before it is converted.
 MAX_DIGITS = 4300
+
+# \d and \s are str.isdecimal and str.isspace, so a digit token is what
+# int() reads, and a non-decimal digit such as "²" is a token of its own
+_TOKEN = re.compile(r"\s*(\d+|sqrt|[-+*/^()x]|\S)")
 
 
 class ParseError(ValueError):
@@ -39,45 +49,11 @@ class ParseError(ValueError):
         self.text = text
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str):
-        if not self.eat(token):
-            raise ParseError(f"expected {token!r}", self.pos, self.text)
-
-    def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", self.pos, self.text)
-        if self.pos - start > MAX_DIGITS:
-            raise ParseError(f"an integer of {self.pos - start} digits exceeds the "
-                             f"budget of MAX_DIGITS = {MAX_DIGITS} digits", start, self.text)
-        return int(self.text[start:self.pos])
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _error(message: str, text: str, k: int, after: bool = False) -> ParseError:
+    """A ParseError at the start of token k (or just after it); the end
+    of the text when k is past the last token."""
+    spans = [m.span(1) for m in _TOKEN.finditer(text)]
+    return ParseError(message, spans[k][after] if k < len(spans) else len(text), text)
 
 
 def parse_field(text: str) -> Field:
@@ -87,108 +63,119 @@ def parse_field(text: str) -> Field:
         raise ParseError(str(exc), 0, text) from exc
 
 
-def _parse_number(sc: _Scanner) -> Fraction:
-    num = sc.uint()
-    if sc.eat("/"):
-        den = sc.uint()
-        if den == 0:
-            raise ParseError("zero denominator", sc.pos, sc.text)
-        return Fraction(num, den)
-    return Fraction(num)
+def _add(x: tuple, sign: int, y: tuple) -> tuple:
+    """x + sign * y for (p, q, den) triples, not reduced."""
+    (p, q, den), (p2, q2, den2) = x, y
+    if den == den2:
+        return p + sign * p2, q + sign * q2, den
+    return p * den2 + sign * p2 * den, q * den2 + sign * q2 * den, den * den2
 
 
-def _parse_root(sc: _Scanner, field: Field) -> FieldElement:
-    sc.expect("sqrt")
-    sc.expect("(")
-    neg = sc.eat("-")
-    d = sc.uint()
-    if neg:
-        d = -d
-    sc.expect(")")
+# Each parser below reads the token list t (ended by a "" sentinel) from
+# token i and returns its value and the index of the next token.
+
+def _uint(t: list[str], i: int, text: str) -> int:
+    if not t[i].isdecimal():
+        raise _error("expected an integer", text, i)
+    if len(t[i]) > MAX_DIGITS:
+        raise _error(f"an integer of {len(t[i])} digits exceeds the "
+                     f"budget of MAX_DIGITS = {MAX_DIGITS} digits", text, i)
+    return int(t[i])
+
+
+def _root(t: list[str], i: int, text: str, field: Field) -> int:
+    """root, which must be sqrt(D) of the field; only the index is returned."""
+    for k, token in ((i, "sqrt"), (i + 1, "(")):
+        if t[k] != token:
+            raise _error(f"expected {token!r}", text, k)
+    neg = t[i + 2] == "-"
+    i += 2 + neg
+    d = -_uint(t, i, text) if neg else _uint(t, i, text)
+    if t[i + 1] != ")":
+        raise _error("expected ')'", text, i + 1)
     if field.is_rational:
-        raise ParseError("sqrt coefficients need a quadratic field", sc.pos, sc.text)
+        raise _error("sqrt coefficients need a quadratic field", text, i + 1, after=True)
     if d != field.D:
-        raise ParseError(f"sqrt({d}) does not lie in {field.descriptor()}",
-                         sc.pos, sc.text)
-    return field.element(0, 1)
+        raise _error(f"sqrt({d}) does not lie in {field.descriptor()}", text, i + 1, after=True)
+    return i + 2
 
 
-def _parse_atom(sc: _Scanner, field: Field) -> FieldElement:
-    if sc.peek() == "s":
-        return _parse_root(sc, field)
-    q = _parse_number(sc)
-    sc.eat("*")
-    if sc.peek() == "s":
-        return _parse_root(sc, field) * q
-    return field.element(q)
+def _atom(t: list[str], i: int, text: str, field: Field) -> tuple[tuple, int]:
+    """atom as a (p, q, den) triple."""
+    if t[i][:1] == "s":
+        return (0, 1, 1), _root(t, i, text, field)
+    num, den = _uint(t, i, text), 1
+    i += 1
+    if t[i] == "/":
+        den = _uint(t, i + 1, text)
+        if den == 0:
+            raise _error("zero denominator", text, i + 1, after=True)
+        i += 2
+    i += t[i] == "*"
+    if t[i][:1] == "s":
+        return (0, num, den), _root(t, i, text, field)
+    return (num, 0, den), i
 
 
-def _parse_coeff_expr(sc: _Scanner, field: Field) -> FieldElement:
-    acc = field.zero()
-    sign = -1 if sc.eat("-") else 1
-    sc.eat("+")
+def _expr(t: list[str], i: int, text: str, field: Field) -> tuple[tuple, int]:
+    """expr as a (p, q, den) triple; "-+" opens it like "-"."""
+    acc, sign = (0, 0, 1), 1
+    if t[i] == "-":
+        sign, i = -1, i + 1
+    i += t[i] == "+"
     while True:
-        acc = acc + _parse_atom(sc, field) * sign
-        if sc.eat("+"):
-            sign = 1
-        elif sc.eat("-"):
-            sign = -1
-        else:
-            return acc
+        atom, i = _atom(t, i, text, field)
+        acc = _add(acc, sign, atom)
+        if t[i] not in ("+", "-"):
+            return acc, i
+        sign, i = (1 if t[i] == "+" else -1), i + 1
 
 
-def _parse_exponent(sc: _Scanner) -> int:
-    if not sc.eat("^"):
-        return 1
-    start = sc.pos
-    power = sc.uint()
+def _exponent(t: list[str], i: int, text: str) -> tuple[int, int]:
+    """the ["^" uint] after an "x"."""
+    if t[i] != "^":
+        return 1, i
+    power = _uint(t, i + 1, text)
     if power > MAX_EXPONENT:
-        raise ParseError(f"exponent {power} exceeds the budget of "
-                         f"MAX_EXPONENT = {MAX_EXPONENT}", start, sc.text)
-    return power
+        raise _error(f"exponent {power} exceeds the budget of "
+                     f"MAX_EXPONENT = {MAX_EXPONENT}", text, i, after=True)
+    return power, i + 2
 
 
 def parse_poly(text: str, field: Field) -> PolyOverK:
     """Parse a polynomial in x with rational or sqrt(D) coefficients."""
-    sc = _Scanner(text)
-    terms: dict[int, FieldElement] = {}
-    sign = -1 if sc.eat("-") else 1
+    t = _TOKEN.findall(text) + [""]
+    terms: dict[int, tuple] = {}   # power -> (p, q, den)
+    sign = -1 if t[0] == "-" else 1
+    i = int(t[0] in ("+", "-"))
     while True:
-        coeff = field.one()
-        have_coeff = False
-        if sc.peek() == "(":
-            sc.expect("(")
-            coeff = _parse_coeff_expr(sc, field)
-            sc.expect(")")
-            have_coeff = True
-        elif sc.peek().isdigit() or sc.peek() == "s":
-            coeff = _parse_atom(sc, field)
-            have_coeff = True
-        if sc.eat("x"):
-            power = _parse_exponent(sc)
-        elif sc.eat("*"):
-            sc.expect("x")
-            power = _parse_exponent(sc)
+        if t[i] == "(":
+            coeff, i = _expr(t, i + 1, text, field)
+            if t[i] != ")":
+                raise _error("expected ')'", text, i)
+            i += 1
+        elif t[i].isdecimal() or t[i][:1] == "s":
+            coeff, i = _atom(t, i, text, field)
         else:
-            if not have_coeff:
-                raise ParseError("expected a term", sc.pos, sc.text)
+            coeff = None
+        if t[i] == "x":
+            power, i = _exponent(t, i + 1, text)
+        elif t[i] == "*":
+            if t[i + 1] != "x":
+                raise _error("expected 'x'", text, i + 1)
+            power, i = _exponent(t, i + 2, text)
+        elif coeff is None:
+            raise _error("expected a term", text, i)
+        else:
             power = 0
-        term = coeff * sign
-        terms[power] = terms.get(power, field.zero()) + term
-        if sc.eat("+"):
-            sign = 1
-        elif sc.eat("-"):
-            sign = -1
-        elif sc.at_end():
+        terms[power] = _add(terms.get(power, (0, 0, 1)), sign, coeff or (1, 0, 1))
+        if t[i] == "":
             break
-        else:
-            raise ParseError("expected '+', '-' or end of input", sc.pos, sc.text)
-    if not terms:
-        raise ParseError("empty polynomial", sc.pos, sc.text)
-    degree = max(terms)
-    coeffs = [terms.get(i, field.zero()) for i in range(degree + 1)]
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    if not coeffs:
-        raise ParseError("polynomial is identically zero", sc.pos, sc.text)
-    return PolyOverK(coeffs, field)
+        if t[i] not in ("+", "-"):
+            raise _error("expected '+', '-' or end of input", text, i)
+        sign, i = (1 if t[i] == "+" else -1), i + 1
+    degree = max((k for k, (p, q, _) in terms.items() if p or q), default=-1)
+    if degree < 0:
+        raise ParseError("polynomial is identically zero", len(text), text)
+    return PolyOverK([_reduced(*terms.get(k, (0, 0, 1)), field) for k in range(degree + 1)],
+                     field)

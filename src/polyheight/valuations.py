@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _reduced
 from .intervals import DEFAULT_PREC, RealInterval
 from .numutil import disc_symbol, factorize, is_prime, sqrt_mod_prime, vp
 
@@ -186,7 +186,8 @@ def nonarch_gauss_product(f, field: Field) -> Fraction:
     if not coeffs:
         raise ValueError("zero polynomial has no Gauss norm")
     L = math.lcm(*(c.den for c in coeffs))
-    return Fraction(L ** field.degree, ideal_norm([c * L for c in coeffs]))
+    gens = [_reduced(c.p * (L // c.den), c.q * (L // c.den), 1, field) for c in coeffs]
+    return Fraction(L ** field.degree, ideal_norm(gens))
 
 
 def local_max_product(x: FieldElement, field: Field, exponent: int = 1) -> Fraction:

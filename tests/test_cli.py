@@ -1,8 +1,11 @@
+import decimal
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from polyheight import cli, numutil, valuations
@@ -259,6 +262,30 @@ def test_printed_enclosures_round_outward():
         assert lo <= q <= hi
         assert hi - lo <= abs(q) / 10 ** 10
     assert _interval_json(RealInterval.from_fraction(Fraction(4))) == ["4.0", "4.0"]
+
+
+def test_decimal_text_matches_mpmath_nstr():
+    """The printed endpoint layout against mpmath.nstr, which made it before."""
+    def nstr(d: decimal.Decimal, digits: int) -> str:
+        with mpmath.workdps(digits + 10):   # d has `digits` digits: nstr keeps it exactly
+            return mpmath.nstr(mpmath.mpf(str(d)), digits)
+
+    rng = random.Random(20261021)
+    for _ in range(4000):
+        digits = rng.choice((12, 30))
+        if rng.random() < 0.25:   # a run of 9s longer than `digits`: rounding carries
+            num, den = 10 ** (digits + rng.randint(1, 3)) - rng.randint(1, 9), 1
+        elif rng.random() < 0.25:   # exact, with trailing zeros dropped or kept
+            num, den = rng.randint(1, 10 ** 6), rng.choice((1, 2, 4, 5, 8, 10 ** 6))
+        else:
+            num, den = rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)
+        e = rng.randint(-60, 60)
+        num, den = rng.choice((1, -1)) * num * 10 ** max(e, 0), den * 10 ** max(-e, 0)
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            d = decimal.Context(prec=digits, rounding=rounding).divide(num, den)
+            assert cli._decimal_text(d, digits) == nstr(d, digits), (d, digits)
+    for d in (decimal.Decimal(0), decimal.Decimal("-0"), decimal.Decimal("0E+5")):
+        assert cli._decimal_text(d, 12) == cli._decimal_text(d, 30) == nstr(d, 12) == "0.0"
 
 
 @pytest.mark.parametrize("argv", [
