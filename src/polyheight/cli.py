@@ -31,7 +31,7 @@ from .gauss_lattice import lattice_case_check
 from .heights import height, split_record
 from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
                         RealInterval, check_precision, mpf_to_fraction)
-from .polyparse import ParseError, parse_field, parse_poly
+from .polyparse import parse_field, parse_poly
 from .search import (MK_SEARCH_MAX_CAP, ck_lower_certify, mk_search,
                      pell_counterexample, recognize_split)
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
@@ -151,7 +151,7 @@ def _emit(report: dict, args, out=None) -> int:
 def _int_coeffs(poly) -> list[int]:
     cs = poly.rational_coeffs()
     if any(c.denominator != 1 for c in cs):
-        raise ParseError("base polynomial must have integer coefficients", 0, "")
+        raise ValueError("base polynomial must have integer coefficients")
     return [int(c) for c in cs]
 
 
@@ -224,8 +224,8 @@ def _cmd_verify(args) -> int:
     poly = parse_poly(args.poly, field)
     split = recognize_split(poly, field)
     if split is None:
-        raise ParseError("polynomial does not split over the field "
-                         "(roots must be nonzero field elements)", 0, args.poly)
+        raise ValueError("polynomial does not split over the field "
+                         "(roots must be nonzero field elements)")
     names = list(_CHECKS) + ["bound1", "complexmahler"] if args.all else [args.check]
     cap = 3.0 if args.mk is None else max(3.0, min(MK_SEARCH_MAX_CAP, args.mk + 0.5))
     try:
@@ -238,9 +238,9 @@ def _cmd_verify(args) -> int:
         mk = Fraction(args.mk)
         # an overlarge mk would turn a sound theorem check into a false alarm
         if searched.value_exact.compare(mk) < 0:
-            raise ParseError(
+            raise ValueError(
                 f"--mk {args.mk} exceeds the field's minimal measure "
-                f"{float(searched.value.lo):.6f}; pass a valid lower bound", 0, "")
+                f"{float(searched.value.lo):.6f}; pass a valid lower bound")
     rec = split_record(split, prec=args.precision)
     checks = []
     for name in names:
@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         args.all = True
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:   # a polyparse.ParseError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertificationError as exc:

@@ -126,13 +126,21 @@ class PolyOverK:
         factor^multiplicity equals the monic part of self.
 
         Rational input that is squarefree modulo a prime is returned as
-        one factor; anything else goes through Yun's algorithm.
+        one factor; other rational input runs Yun's algorithm over Z[x]
+        with certified heuristic gcds, and anything that route cannot
+        decide (quadratic coefficients, P dividing the leading
+        coefficient, no certified gcd) runs Yun's algorithm over the
+        field.  Every route returns the same list.
         """
         f = self.monic()
         if f.degree == 0:
             return []
         if _squarefree_mod_prime(f):
             return [(f, 1)]
+        if all(c.q == 0 for c in f.coeffs):
+            parts = _integer_yun(f)
+            if parts is not None:
+                return [(int_to_poly(g, f.field).monic(), m) for g, m in parts]
         return f._yun()
 
     def _yun(self) -> list[tuple["PolyOverK", int]]:
@@ -208,7 +216,14 @@ def _squarefree_mod_prime(f: PolyOverK) -> bool:
     if not all(c.q == 0 and c.den % P for c in f.coeffs):
         return False
     a = [c.p * pow(c.den, -1, P) % P for c in f.coeffs]
-    b = [k * c % P for k, c in enumerate(a)][1:]
+    return _coprime_mod_prime(a, [k * c % P for k, c in enumerate(a)][1:])
+
+
+def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+    """True when gcd(a, b) = 1 in F_P[x], P = SQUAREFREE_PRIME, for
+    residue lists a (with a nonzero leading residue) and b."""
+    P = SQUAREFREE_PRIME
+    a, b = list(a), list(b)
     while b and b[-1] == 0:
         b.pop()
     while b:   # Euclid in F_P[x]: a, b = b, a mod b
@@ -223,6 +238,90 @@ def _squarefree_mod_prime(f: PolyOverK) -> bool:
             r.pop()
         a, b = b, r
     return len(a) == 1
+
+
+# Yun's algorithm over Z[x] (Yun, SYMSAC 1976) with the heuristic gcd of
+# Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989), each gcd proven by
+# _certified_quotients.  Polynomials are degree-indexed int lists.
+
+HEURISTIC_GCD_TRIES = 6
+
+
+def _integer_yun(f: PolyOverK) -> list[tuple[list[int], int]] | None:
+    """Yun's decomposition of the monic rational f as primitive integer
+    factors with positive leads, or None when P divides the leading
+    coefficient of f's primitive integer multiple or a gcd is not
+    certified.  Each factor is a constant multiple of the one _yun finds,
+    since every division below is exact and by a primitive divisor."""
+    den = math.lcm(*(c.den for c in f.coeffs))
+    a = [c.p * (den // c.den) for c in f.coeffs]
+    content = intpoly_content(a)
+    a = [c // content for c in a]
+    if a[-1] % SQUAREFREE_PRIME == 0:
+        return None
+    out: list[tuple[list[int], int]] = []
+    step = _heuristic_gcd(a, _intpoly_derivative(a))
+    i = 0   # the first gcd, gcd(f, f'), is divided out but is not a factor
+    while step is not None:
+        g, b, c = step
+        if i and len(g) > 1:
+            out.append((g, i))
+        i += 1
+        if len(b) == 1:
+            return out
+        db = _intpoly_derivative(b)
+        d = [x - y for x, y in zip(c, db + [0] * (len(c) - len(db)))]
+        while d and d[-1] == 0:
+            d.pop()
+        if not d:
+            return out + [(b, i)]
+        step = _heuristic_gcd(b, d)
+    return None
+
+
+def _heuristic_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """(g, a / g, b / g) for the primitive gcd g of a and b with a positive
+    lead, or None when no evaluation point gave a certified candidate.
+
+    At each point xi the candidate is the primitive part of the balanced
+    xi-adic digits of gcd(a(xi), b(xi)).
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(HEURISTIC_GCD_TRIES):
+        gamma = math.gcd(_intpoly_eval(a, xi), _intpoly_eval(b, xi))
+        g = []
+        while gamma:
+            gamma, r = divmod(gamma, xi)
+            if 2 * r > xi:
+                r -= xi
+                gamma += 1
+            g.append(r)
+        content = intpoly_content(g) if g[-1] > 0 else -intpoly_content(g)
+        g = [x // content for x in g]
+        quotients = _certified_quotients(a, b, g)
+        if quotients is not None:
+            return g, *quotients
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _certified_quotients(a: list[int], b: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
+    """(a / g, b / g) when g is proven a gcd of a and b, else None.
+
+    The proof: g divides a and b in Z[x], and the cofactors u = a / g
+    and v = b / g are coprime mod P with leads prime to P.  A common
+    factor h of u and v of positive degree, taken primitive, divides u
+    in Z[x] (Gauss), so P does not divide its lead, and h mod P, of the
+    same degree, would divide both u mod P and v mod P.
+    """
+    P = SQUAREFREE_PRIME
+    u = _intpoly_divexact(a, g)
+    v = None if u is None else _intpoly_divexact(b, g)
+    if v is None or u[-1] % P == 0 or v[-1] % P == 0:
+        return None
+    if not _coprime_mod_prime([x % P for x in u], [x % P for x in v]):
+        return None
+    return u, v
 
 
 def _multiply_out(lead: FieldElement, roots: Sequence[FieldElement],
@@ -286,6 +385,35 @@ def intpoly_pow(a: Sequence[int], k: int) -> list[int]:
 
 def intpoly_content(a: Sequence[int]) -> int:
     return math.gcd(*a) if len(a) > 1 else abs(a[0])
+
+
+def _intpoly_derivative(a: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _intpoly_eval(a: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _intpoly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b when b divides a in Z[x], else None."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return None
+    rem = list(a)
+    q = [0] * (len(a) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[i + m], b[-1])
+        if r:
+            return None
+        q[i] = c
+        if c:
+            for j in range(m):
+                rem[i + j] -= c * b[j]
+    return None if any(rem[:m]) else q
 
 
 def is_primitive_int(a: Sequence[int]) -> bool:

@@ -111,18 +111,17 @@ def _atom(t: list[str], i: int, text: str, field: Field) -> tuple[tuple, int]:
         if den == 0:
             raise _error("zero denominator", text, i + 1, after=True)
         i += 2
-    i += t[i] == "*"
+    i += t[i] == "*" and t[i + 1][:1] == "s"   # a "*" only before a root
     if t[i][:1] == "s":
         return (0, num, den), _root(t, i, text, field)
     return (num, 0, den), i
 
 
 def _expr(t: list[str], i: int, text: str, field: Field) -> tuple[tuple, int]:
-    """expr as a (p, q, den) triple; "-+" opens it like "-"."""
+    """expr as a (p, q, den) triple; one sign per atom."""
     acc, sign = (0, 0, 1), 1
-    if t[i] == "-":
-        sign, i = -1, i + 1
-    i += t[i] == "+"
+    if t[i] in ("+", "-"):
+        sign, i = (1 if t[i] == "+" else -1), i + 1
     while True:
         atom, i = _atom(t, i, text, field)
         acc = _add(acc, sign, atom)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath.libmp import from_man_exp
 
 from .fields import FieldElement
@@ -154,7 +153,10 @@ def _fixed_mpf(v: mpmath.mpf, s: int) -> int:
 
 def _seed_roots(cs: list[Ball], m: int, s: int, prec: int) -> list[tuple[int, int]] | None:
     """Approximate roots: companion eigenvalues, with an mpmath fallback
-    when coefficient scales defeat double precision."""
+    when coefficient scales defeat double precision.  numpy is imported
+    here, so that commands which never seed roots do not load it."""
+    import numpy as np
+
     one = 1 << s
     try:
         arr = np.array([complex(x / one, y / one) for x, y, _ in cs], dtype=complex)

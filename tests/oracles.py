@@ -479,7 +479,9 @@ def _parse_atom(sc: _Scanner, field: Field) -> FieldElement:
     if sc.peek() == "s":
         return _parse_root(sc, field)
     q = _parse_number(sc)
-    sc.eat("*")
+    star = sc.pos
+    if sc.eat("*") and sc.peek() != "s":   # a "*" only before a root
+        sc.pos = star
     if sc.peek() == "s":
         return _parse_root(sc, field) * q
     return field.element(q)
@@ -488,7 +490,8 @@ def _parse_atom(sc: _Scanner, field: Field) -> FieldElement:
 def _parse_coeff_expr(sc: _Scanner, field: Field) -> FieldElement:
     acc = field.zero()
     sign = -1 if sc.eat("-") else 1
-    sc.eat("+")
+    if sign == 1:
+        sc.eat("+")
     while True:
         acc = acc + _parse_atom(sc, field) * sign
         if sc.eat("+"):

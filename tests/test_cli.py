@@ -364,6 +364,16 @@ def test_budgets_exit_3(capsys, argv, message):
     assert code == 3 and message in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ck-certify", "--base", "1/2x^2 - 1"], "base polynomial must have integer coefficients"),
+    (["verify", "--poly", "x^2-1", "--mk", "2.5"], "pass a valid lower bound"),
+    (["verify", "--poly", "x^2+1"], "does not split over the field"),
+])
+def test_errors_about_no_position_name_none(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and message in err and "at position" not in err and out == ""
+
+
 def test_verify_rejects_a_high_degree_non_split_polynomial(capsys):
     code, out, err = run_cli(capsys, "verify", "--field", "Q", "--poly", "x^3000-1")
     assert code == 3 and "does not split" in err and out == ""

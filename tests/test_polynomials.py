@@ -149,6 +149,77 @@ def test_squarefree_over_quadratic():
     assert sorted((g.degree, m) for g, m in parts) == [(1, 1), (1, 2)]
 
 
+def _sympy_squarefree(cs) -> set:
+    """sympy.sqf_list of an integer polynomial as (monic coefficients, multiplicity)."""
+    x = sympy.Symbol("x")
+    _, parts = sympy.sqf_list(sum(c * x ** i for i, c in enumerate(cs)), x)
+    want = set()
+    for p, m in parts:
+        coeffs = [F(int(c)) for c in reversed(sympy.Poly(p, x).all_coeffs())]
+        if len(coeffs) > 1:
+            want.add((tuple(c / coeffs[-1] for c in coeffs), m))
+    return want
+
+
+@st.composite
+def repeated_products(draw):
+    """g h^2 k^3 of degree at most 24, coefficients up to 10^6 in absolute
+    value, times a rational lead, as (integer coefficients, lead)."""
+    big = st.integers(-10 ** 6, 10 ** 6)
+    dg = draw(st.integers(1, 6))
+    dh = draw(st.integers(0, (24 - dg) // 2))
+    dk = draw(st.integers(0, min(3, (24 - dg - 2 * dh) // 3)))
+    cs = [1]
+    for d, e in ((dg, 1), (dh, 2), (dk, 3)):
+        if d:
+            part = draw(st.lists(big, min_size=d, max_size=d)) + [draw(st.integers(1, 10 ** 6))]
+            cs = intpoly_mul(cs, intpoly_pow(part, e))
+    lead = F(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+    return cs, lead
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(repeated_products())
+def test_integer_yun_matches_field_yun_and_sympy(case):
+    cs, lead = case
+    f = int_to_poly([lead * c for c in cs])
+    parts = f.squarefree_decomposition()
+    assert parts == f.monic()._yun()
+    assert {(tuple(g.rational_coeffs()), m) for g, m in parts} == _sympy_squarefree(cs)
+
+
+def test_gcd_certificate_rejects_a_proper_common_divisor():
+    # f = (x - 1)^2 (x - 2)^2: x - 1 divides f and f', but the cofactors
+    # share x - 2, so only (x - 1)(x - 2) is certified
+    f = intpoly_mul(intpoly_pow([-1, 1], 2), intpoly_pow([-2, 1], 2))
+    df = [k * c for k, c in enumerate(f)][1:]
+    assert polynomials._certified_quotients(f, df, [-1, 1]) is None
+    assert polynomials._certified_quotients(f, df, [2, -3, 1]) == ([2, -3, 1], [-6, 4])
+    assert polynomials._heuristic_gcd(f, df) == ([2, -3, 1], [2, -3, 1], [-6, 4])
+
+
+def test_degree_100_repeated_factor_matches_sympy():
+    rng = random.Random(100)
+    g = [rng.randint(-9, 9) for _ in range(34)] + [rng.randint(1, 9)]
+    h = [rng.randint(-9, 9) for _ in range(33)] + [rng.randint(1, 9)]
+    cs = intpoly_mul(g, intpoly_pow(h, 2))
+    parts = int_to_poly(cs).squarefree_decomposition()
+    assert [(g.degree, m) for g, m in parts] == [(34, 1), (33, 2)]
+    assert {(tuple(g.rational_coeffs()), m) for g, m in parts} == _sympy_squarefree(cs)
+
+
+def test_rational_input_never_runs_the_field_gcd(monkeypatch):
+    def field_gcd(f, g):
+        raise AssertionError("PolyOverK.gcd ran")
+
+    monkeypatch.setattr(PolyOverK, "gcd", staticmethod(field_gcd))
+    for cs, shape in ((intpoly_pow([F(-1, 3), 0, 1], 2), [(2, 2)]),
+                      (intpoly_mul(intpoly_pow([1, 0, 1], 3), [5, -7, 0, 2]), [(3, 1), (2, 3)]),
+                      ([F(c, 7) for c in intpoly_pow([-4, 1, 6], 5)], [(2, 5)])):
+        parts = int_to_poly(cs).squarefree_decomposition()
+        assert [(g.degree, m) for g, m in parts] == shape
+
+
 def test_intpoly_helpers():
     sq = intpoly_pow([-1, 0, 1], 2)
     assert sq == [1, 0, -2, 0, 1]

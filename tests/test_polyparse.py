@@ -66,6 +66,21 @@ def test_leading_plus_parses_like_no_sign():
 
 
 @pytest.mark.parametrize("text, message", [
+    ("2**x + 3*", "expected 'x' at position 2"),
+    ("(1*)x", "expected ')' at position 2"),
+    ("(-+1)x", "expected an integer at position 2"),
+])
+def test_star_only_before_a_root_or_monomial_and_one_sign_per_atom(capsys, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_poly(text, rationals())
+    assert _outcome(parse_poly_by_chars, text, None).startswith(message)
+    assert main(["height", "--poly", text]) == 3
+    assert message in capsys.readouterr().err
+    assert parse_poly("(2*sqrt(5) - 1)x + 3*x", quadratic_field(5)) == \
+        parse_poly("(2sqrt(5) - 1)x + 3x", quadratic_field(5))
+
+
+@pytest.mark.parametrize("text, message", [
     ("x^²", "expected an integer at position 2"),
     ("²x", "expected a term at position 0"),
     ("1²", "expected '+', '-' or end of input at position 1"),

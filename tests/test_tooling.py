@@ -1,11 +1,15 @@
 """Source-level checks: the benchmark's layer tracer imports
 polyheight.<layer> for each name in its LAYERS, so every such module must
 exist, and it wraps and restores the names it binds; the height, bound and
-search modules use no prime-by-prime API; and search decides splitting
-exactly, without floats or root isolation."""
+search modules use no prime-by-prime API; search decides splitting
+exactly, without floats or root isolation; and loading the CLI does not
+load numpy."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -79,3 +83,12 @@ def test_search_imports_neither_numpy_nor_rootfind():
                 for a in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {name.rpartition(".")[2] for name in imported} & {"numpy", "rootfind"}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported where roots are seeded, not when the CLI loads
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, polyheight.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
