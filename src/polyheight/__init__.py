@@ -13,9 +13,8 @@ from .exactreal import SqrtValue
 from .fields import (Field, FieldElement, embed, make_field, quadratic_field,
                      rationals, roots_of_unity)
 from .gauss_lattice import LatticeReport, is_coprime, lattice_case_check
-from .heights import (CharPoly, HeightReport, SplitRecord, char_poly,
-                      count_unity_roots, height, mk_alpha_exact,
-                      split_record)
+from .heights import (CharPoly, HeightReport, char_poly, count_unity_roots,
+                      height, mk_alpha_exact)
 from .intervals import DEFAULT_PREC, MAX_PREC, ComplexBox, RealInterval
 from .polynomials import PolyOverK, SplitPoly, int_to_poly
 from .rootfind import CertificationError, RootBox, complex_roots

@@ -28,7 +28,7 @@ from .analytic import check_complexmahler, mahler_measure
 from .bounds import (check_alphabound1, check_alphabound2, check_bound1,
                      check_bound2, ck_interval, t2_constant)
 from .gauss_lattice import lattice_case_check
-from .heights import height, split_record
+from .heights import height
 from .intervals import (DEFAULT_PREC, MAX_PREC, MIN_PREC, CertificationError,
                         RealInterval, check_precision, mpf_to_fraction)
 from .polyparse import parse_field, parse_poly
@@ -48,6 +48,8 @@ _CHECKS = {
     "alphabound1": check_alphabound1,
     "alphabound2": check_alphabound2,
     "bound2": check_bound2,
+    "bound1": check_bound1,
+    "complexmahler": check_complexmahler,
 }
 
 
@@ -226,7 +228,7 @@ def _cmd_verify(args) -> int:
     if split is None:
         raise ValueError("polynomial does not split over the field "
                          "(roots must be nonzero field elements)")
-    names = list(_CHECKS) + ["bound1", "complexmahler"] if args.all else [args.check]
+    names = list(_CHECKS) if args.all else [args.check]
     cap = 3.0 if args.mk is None else max(3.0, min(MK_SEARCH_MAX_CAP, args.mk + 0.5))
     try:
         searched = mk_search(field, cap, prec=args.precision)
@@ -241,16 +243,9 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 f"--mk {args.mk} exceeds the field's minimal measure "
                 f"{float(searched.value.lo):.6f}; pass a valid lower bound")
-    rec = split_record(split, prec=args.precision)
-    checks = []
-    for name in names:
-        if name == "bound1":
-            checks.append(check_bound1(rec, mk, prec=args.precision))
-        elif name == "complexmahler":
-            checks.append(check_complexmahler(split, prec=args.precision))
-        else:
-            checks.append(_CHECKS[name](rec, prec=args.precision))
-    hrep = rec.height
+    checks = [_CHECKS[name](split, mk, prec=args.precision) if name == "bound1"
+              else _CHECKS[name](split, prec=args.precision) for name in names]
+    hrep = height(split, prec=args.precision)
     results = {
         "height": _interval_json(hrep.height) if args.json else _interval_text(hrep.height),
         "height_exact": _frac_str(hrep.exact) if hrep.exact is not None else None,
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true",
                        help="run every check (default)")
-    group.add_argument("--check", choices=list(_CHECKS) + ["bound1", "complexmahler"])
+    group.add_argument("--check", choices=list(_CHECKS))
     sp.add_argument("--mk", type=_finite, default=None,
                     help="lower bound for the minimal measure (default: searched)")
     sp.set_defaults(func=_cmd_verify)

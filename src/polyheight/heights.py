@@ -45,12 +45,18 @@ def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     """The height H(f), scale-invariant, with H(f) >= 1 always.
 
     The discrete part is 1 / N(content ideal) of the coefficients,
-    expanded first for split input.
+    expanded first for split input.  A split polynomial keeps its report
+    and returns it again at the same precision; another precision
+    computes a fresh one.
     """
-    poly = f.expand() if isinstance(f, SplitPoly) else f
-    nonarch = nonarch_gauss_product(poly, poly.field)
-    d = poly.field.degree
-    arch_sv = arch_gauss_exact(poly, poly.field)
+    if isinstance(f, SplitPoly):
+        memo = f._height
+        if memo is None or memo[0] != prec:
+            memo = f._height = (prec, height(f.expand(), prec))
+        return memo[1]
+    nonarch = nonarch_gauss_product(f, f.field)
+    d = f.field.degree
+    arch_sv = arch_gauss_exact(f, f.field)
     hd_sv = SqrtValue.of_rational(nonarch) * arch_sv
     hd_iv = hd_sv.to_interval(prec)
     h_iv = hd_iv if d == 1 else hd_iv.sqrt()
@@ -61,7 +67,7 @@ def height(f: PolyOverK | SplitPoly, prec: int = DEFAULT_PREC) -> HeightReport:
     if hd_rat is not None:
         exact = hd_rat if d == 1 else rational_sqrt(hd_rat)
     return HeightReport(nonarch, arch_sv.to_interval(prec), h_iv, log_iv,
-                        poly.degree, poly.field, exact, arch_sv)
+                        f.degree, f.field, exact, arch_sv)
 
 
 @dataclass(frozen=True)
@@ -117,21 +123,3 @@ def count_unity_roots(s: SplitPoly) -> int:
     """Number of roots (with multiplicity) that are roots of unity."""
     unity = set(roots_of_unity(s.field))
     return sum(1 for r in s.roots if r in unity)
-
-
-@dataclass(frozen=True)
-class SplitRecord:
-    """A split polynomial with the quantities the bound checks read, each
-    computed once.  The height enclosures are at the precision the record
-    was built with; every check decides from the exact parts."""
-
-    split: SplitPoly
-    height: HeightReport
-    unity_roots: int          # roots of unity among the roots, with multiplicity
-
-
-def split_record(s: SplitPoly | SplitRecord, prec: int = DEFAULT_PREC) -> SplitRecord:
-    """The record of s, or s itself when it is one already."""
-    if isinstance(s, SplitRecord):
-        return s
-    return SplitRecord(s, height(s, prec), count_unity_roots(s))

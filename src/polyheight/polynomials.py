@@ -336,9 +336,10 @@ def _multiply_out(lead: FieldElement, roots: Sequence[FieldElement],
 
 class SplitPoly:
     """lead * prod (x - root_i) with every root a nonzero field element,
-    expanded once, on construction."""
+    expanded once, on construction.  Its height is computed on first use
+    and kept, with its precision, in ``_height`` (see ``heights.height``)."""
 
-    __slots__ = ("lead", "roots", "field", "_poly")
+    __slots__ = ("lead", "roots", "field", "_poly", "_height")
 
     def __init__(self, lead: FieldElement, roots: Iterable[FieldElement], field: Field):
         if lead.is_zero():
@@ -350,6 +351,7 @@ class SplitPoly:
         self.roots = rs
         self.field = field
         self._poly = _multiply_out(lead, rs, field)
+        self._height = None
 
     @property
     def degree(self) -> int:

@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .analytic import MahlerValue
@@ -58,10 +59,13 @@ class MKResult:
         return mpf_to_fraction(self.value.enclosure.lo, floor_bits=53)
 
 
+@lru_cache(maxsize=64, typed=True)
 def mk_search(field: Field, cap: float, prec: int = DEFAULT_PREC) -> MKResult:
     """Exhaustively enumerate characteristic polynomials of field
     elements with measure in (1, cap] and return the minimum with every
-    witness attaining it (exact ties)."""
+    witness attaining it (exact ties).  Results are cached, so a field's
+    minimal measure is searched once per process; typed, because the
+    result keeps cap as given and 3 and 3.0 print apart."""
     if cap <= 1:
         raise ValueError("cap must exceed 1")
     if cap > MK_SEARCH_MAX_CAP:

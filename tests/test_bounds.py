@@ -214,3 +214,62 @@ def test_t2_cap_filter_isolates_only_survivors(monkeypatch):
     plastic = [(-1, -1, 0, 1), (1, -1, 0, 1), (-1, 0, 1, 1), (1, 0, -1, 1)]   # 1.3247...
     next_up = [(-1, 0, -1, 1), (1, 0, 1, 1), (-1, 1, 0, 1), (1, 1, 0, 1)]     # 1.4656...
     assert sorted(calls) == sorted(plastic + next_up)
+
+
+def _split_over_gaussian_rationals():
+    k = quadratic_field(-1)
+    roots = [k.element(F(3, 2), -2), k.element(1), k.element(0, 1), k.element(-2, 5)]
+    return SplitPoly(k.element(2), roots, k)
+
+
+def _all_checks(s, prec):
+    return (check_alphabound1(s, prec), check_bound1(s, 2, prec),
+            check_alphabound2(s, prec), check_bound2(s, prec),
+            combined_bound_check(s, 2, prec))
+
+
+def test_split_poly_height_is_computed_once(monkeypatch):
+    from polyheight import heights
+    computed = []
+    original = heights.height
+
+    def counting(f, *args, **kwargs):
+        if not isinstance(f, SplitPoly):
+            computed.append(f)
+        return original(f, *args, **kwargs)
+    for mod in (heights, bounds):
+        monkeypatch.setattr(mod, "height", counting)
+    s = _split_over_gaussian_rationals()
+    assert all(c.holds for c in _all_checks(s, 256))
+    assert len(computed) == 1
+    assert height(s, 256) is height(s, 256)
+
+
+def test_split_poly_height_at_another_precision_is_fresh():
+    s = _split_over_gaussian_rationals()
+    _all_checks(s, 512)
+    again = _all_checks(s, 256)
+    fresh = _all_checks(_split_over_gaussian_rationals(), 256)
+    for a, b in zip(again, fresh):
+        for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+            assert (x.lo, x.hi, x.prec) == (y.lo, y.hi, y.prec), a.name
+    assert height(s, 256).height.prec == 256
+
+
+def test_split_poly_height_still_refuses_a_bad_precision():
+    s = _split_over_gaussian_rationals()
+    _all_checks(s, 256)
+    with pytest.raises(ValueError):
+        height(s, 16)
+    for check in (lambda p: check_bound1(s, 2, p), lambda p: check_bound2(s, p),
+                  lambda p: combined_bound_check(s, 2, p)):
+        with pytest.raises(ValueError):
+            check(16)
+
+
+def test_mk_search_is_cached():
+    from polyheight import mk_search
+    k = quadratic_field(-7)
+    assert mk_search(k, 3) is mk_search(k, 3)
+    # the result keeps cap as given, so 3 and 3.0 are cached apart
+    assert repr(mk_search(k, 3.0).cap) == "3.0"

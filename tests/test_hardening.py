@@ -150,11 +150,12 @@ _X = _K.element(F(3, 2), -2)
 _S = SplitPoly(_K.element(2), [_X, _K.element(1), _K.element(0, 1)], _K)
 PRECISION_ENTRIES = {
     "height": lambda p: ph.height(_S, p),
-    "split_record": lambda p: ph.split_record(_S, p),
     "check_alphabound1": lambda p: ph.check_alphabound1(_S, p),
     "check_bound1": lambda p: ph.check_bound1(_S, 2, p),
     "check_alphabound2": lambda p: ph.check_alphabound2(_S, p),
     "check_bound2": lambda p: ph.check_bound2(_S, p),
+    "check_complexmahler": lambda p: ph.check_complexmahler(_S, p),
+    "combined_bound_check": lambda p: ph.combined_bound_check(_S, 2, p),
     "SqrtValue.to_interval": lambda p: ph.SqrtValue.sqrt_of_rational(F(7, 3)).to_interval(p),
     "FieldElement.embeddings": lambda p: _X.embeddings(p),
     "embed": lambda p: ph.embed(_X, prec=p),
